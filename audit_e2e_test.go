@@ -2,7 +2,6 @@ package slicer
 
 import (
 	"bytes"
-	"crypto/rand"
 	"encoding/json"
 	"net"
 	"sync/atomic"
@@ -11,9 +10,9 @@ import (
 
 	"slicer/internal/audit"
 	"slicer/internal/chain"
-	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/durable"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -88,91 +87,6 @@ func proxyConn(client, server net.Conn, tampered *atomic.Int32) {
 	}
 }
 
-// auditRound drives one fair-exchange search over the wire — escrow, cloud
-// search through cloudCli, on-chain submission — journaling the outcome into
-// led the way slicer-cli and Deployment do: KindSettle on success, KindRefund
-// with the full evidence bundle on a failed public verification.
-func auditRound(t *testing.T, led *audit.Ledger, owner *core.Owner, user *core.User,
-	cloudCli *wire.CloudClient, chainCli *wire.ChainClient,
-	contractAddr chain.Address, userAcct, cloudAcct chain.Address,
-	q Query, pay uint64) (settled bool, resp *core.SearchResponse) {
-	t.Helper()
-	req, err := user.Token(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := contract.TokensHash(req.Tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		t.Fatal(err)
-	}
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := chainCli.Mine(&chain.Transaction{
-		From: userAcct, To: contractAddr, Nonce: nonce, Value: pay,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	})
-	if err != nil || !rc.Status {
-		t.Fatalf("escrow: %v %s", err, rc.Err)
-	}
-	led.Log(audit.Event{Kind: audit.KindSearch, Detail: "escrowed"})
-
-	resp, err = cloudCli.Search(req)
-	if err != nil {
-		t.Fatalf("cloud search: %v", err)
-	}
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subTx := &chain.Transaction{
-		From: cloudAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}
-	subTxHash := subTx.Hash()
-	rc, err = chainCli.Mine(subTx)
-	if err != nil || !rc.Status {
-		t.Fatalf("submit: %v %s", err, rc.Err)
-	}
-	if len(rc.ReturnData) == 1 && rc.ReturnData[0] == 1 {
-		led.Log(audit.Event{Kind: audit.KindSettle, Detail: "settled"})
-		return true, resp
-	}
-	ev := &audit.Evidence{
-		Ac:         owner.Ac().Bytes(),
-		AccPub:     owner.AccumulatorPub().Marshal(),
-		TokenIndex: -1,
-		RequestID:  reqID[:],
-		TxHash:     subTxHash[:],
-		GasUsed:    rc.GasUsed,
-		ReturnData: rc.ReturnData,
-	}
-	if b, err := json.Marshal(req); err == nil {
-		ev.Tokens = b
-	}
-	if b, err := json.Marshal(resp); err == nil {
-		ev.Response = b
-	}
-	if verr := core.VerifyResponse(owner.AccumulatorPub(), owner.Ac(), req, resp); verr != nil {
-		if vd, ok := core.AsVerificationError(verr); ok {
-			ev.Phase = vd.Phase
-			ev.TokenIndex = vd.TokenIndex
-		}
-	}
-	led.Log(audit.Event{Kind: audit.KindRefund, Outcome: audit.OutcomeFail,
-		Detail: "refunded", Evidence: ev})
-	return false, resp
-}
-
 // TestTamperedResponseLeavesEvidence is the adversarial end-to-end check for
 // the audit layer: with a wire-level tampering proxy between the user and an
 // honest cloud, the public verification must fail on chain, the escrow must
@@ -187,21 +101,14 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 	}
 	defer cloudSrv.Close()
 
-	registry := chain.NewRegistry()
-	if err := contract.Register(registry); err != nil {
-		t.Fatal(err)
-	}
 	ownerAcct := chain.AddressFromString("owner")
 	userAcct := chain.AddressFromString("user")
 	cloudAcct := chain.AddressFromString("cloud")
-	validators := []chain.Address{chain.AddressFromString("v0"), chain.AddressFromString("v1")}
-	network, err := chain.NewNetwork(registry, validators, map[chain.Address]uint64{
-		ownerAcct: 1 << 30, userAcct: 1 << 30, cloudAcct: 1 << 30,
-	})
+	local, err := exchange.NewLocal([]string{"v0", "v1"}, 1<<30, ownerAcct, userAcct, cloudAcct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainSrv := wire.NewChainServer(network)
+	chainSrv := wire.NewChainServer(local.Network)
 	chainAddr, err := chainSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("chain listen: %v", err)
@@ -230,9 +137,9 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer chainCli.Close()
-	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil || !deployRc.Status {
-		t.Fatalf("contract deploy: %v %s", err, deployRc.Err)
+	deployRc, err := exchange.Deploy(exchange.Remote{Client: chainCli}, ownerAcct, owner)
+	if err != nil {
+		t.Fatalf("contract deploy: %v", err)
 	}
 	user, err := core.NewUser(owner.ClientState())
 	if err != nil {
@@ -248,11 +155,26 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 	}
 	led.SetTenant("e2e")
 
-	const pay = 1000
+	// run drives one fair-exchange round over the wire through cloud,
+	// journaling into led.
+	run := func(cloud exchange.Cloud) *exchange.Outcome {
+		t.Helper()
+		req, err := user.Token(Less(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&exchange.Round{
+			Chain: exchange.Remote{Client: chainCli}, Cloud: cloud,
+			Contract: deployRc.ContractAddress, Payer: userAcct, Server: cloudAcct,
+			Owner: owner, Audit: led,
+		}).Run(req, 1000, nil)
+		if err != nil {
+			t.Fatalf("round: %v", err)
+		}
+		return out
+	}
 	// Round 1, honest path straight to the cloud: settles.
-	settled, _ := auditRound(t, led, owner, user, honestCli, chainCli,
-		deployRc.ContractAddress, userAcct, cloudAcct, Less(100), pay)
-	if !settled {
+	if !run(honestCli).Settled {
 		t.Fatal("honest round did not settle")
 	}
 
@@ -269,9 +191,8 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	settled, tamperedResp := auditRound(t, led, owner, user, proxyCli, chainCli,
-		deployRc.ContractAddress, userAcct, cloudAcct, Less(100), pay)
-	if settled {
+	out := run(proxyCli)
+	if out.Settled {
 		t.Fatal("tampered round settled; the contract accepted a mutated response")
 	}
 	if tampered.Load() != 1 {
@@ -310,7 +231,7 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 			bundle = rec.Evidence
 		}
 	}
-	wantResp, err := json.Marshal(tamperedResp)
+	wantResp, err := json.Marshal(out.Response)
 	if err != nil {
 		t.Fatal(err)
 	}

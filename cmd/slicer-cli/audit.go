@@ -10,7 +10,7 @@ import (
 	"slicer/internal/audit"
 	"slicer/internal/core"
 	"slicer/internal/durable"
-	"slicer/internal/wire"
+	"slicer/internal/exchange"
 )
 
 // openClientLedger opens the client-side audit ledger at dir, stamping every
@@ -68,65 +68,19 @@ func cmdProbe(args []string) error {
 		return fmt.Errorf("bad -op %q", *opFlag)
 	}
 
-	st, err := loadState(*statePath)
+	rd, closeRound, err := dialRound(*statePath, dialOpts(), *auditDir, *tenant, logger)
 	if err != nil {
 		return err
 	}
-	owner, err := core.UnmarshalOwner(st.Owner)
-	if err != nil {
-		return err
-	}
-	user, err := core.NewUser(owner.ClientState())
-	if err != nil {
-		return err
-	}
-	chainCli, err := wire.DialChainOpts(st.ChainAddr, dialOpts())
-	if err != nil {
-		return err
-	}
-	defer chainCli.Close()
-	cloud, err := wire.DialCloudOpts(st.CloudAddr, dialOpts())
-	if err != nil {
-		return err
-	}
-	defer cloud.Close()
-	led, err := openClientLedger(*auditDir, *tenant, logger)
-	if err != nil {
-		return err
-	}
-	defer led.Close()
-
-	env := &fairExchangeEnv{
-		st: st, owner: owner, user: user,
-		cloud: cloud, chain: chainCli,
-		logger: logger, led: led, tenant: *tenant,
-	}
-	fn := func() (string, *audit.Evidence, error) {
-		req, err := user.Token(core.Query{Attr: *attr, Op: op, Value: *value})
+	defer closeRound()
+	fn := exchange.Probe(core.Query{Attr: *attr, Op: op, Value: *value}, func(q core.Query) (*exchange.Outcome, error) {
+		req, err := rd.User.Token(q)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		res, err := env.run(req, *pay, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		if !res.Settled {
-			// The refund evidence bundle is already journaled by the round
-			// as a KindRefund record; the probe record carries the verdict.
-			detail := fmt.Sprintf("request %x… refunded", res.ReqID[:8])
-			if res.VerifyErr != nil {
-				return detail, nil, fmt.Errorf("on-chain verification failed: %w", res.VerifyErr)
-			}
-			return detail, nil, fmt.Errorf("on-chain verification failed: payment refunded")
-		}
-		q := fmt.Sprintf("%s %d", *opFlag, *value)
-		if *attr != "" {
-			q = *attr + " " + q
-		}
-		return fmt.Sprintf("query %s settled, gas %d, %d matches",
-			q, res.SubmitGas, len(res.IDs)), nil, nil
-	}
-	prober := audit.NewProber(led, fn, audit.ProberOptions{
+		return rd.Run(req, *pay, nil)
+	})
+	prober := audit.NewProber(rd.Audit, fn, audit.ProberOptions{
 		Interval: *interval, Tenant: *tenant, Logger: logger,
 	})
 

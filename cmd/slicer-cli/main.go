@@ -24,9 +24,9 @@ import (
 	"time"
 
 	"slicer/internal/chain"
-	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/durable"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 	"slicer/internal/workload"
@@ -125,6 +125,52 @@ func saveState(path string, st *cliState) error {
 	return durable.AtomicWriteFile(path, data, 0o600)
 }
 
+// dialRound loads the state at statePath, dials its cloud and chain and
+// opens the optional client-side audit ledger, returning the deployment's
+// fair-exchange round (shared by search and probe) and a function closing
+// everything it opened.
+func dialRound(statePath string, opts wire.ClientOptions, auditDir, tenant string, logger *slog.Logger) (*exchange.Round, func(), error) {
+	st, err := loadState(statePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	owner, err := core.UnmarshalOwner(st.Owner)
+	if err != nil {
+		return nil, nil, err
+	}
+	user, err := core.NewUser(owner.ClientState())
+	if err != nil {
+		return nil, nil, err
+	}
+	chainCli, err := wire.DialChainOpts(st.ChainAddr, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	cloud, err := wire.DialCloudOpts(st.CloudAddr, opts)
+	if err != nil {
+		_ = chainCli.Close()
+		return nil, nil, err
+	}
+	led, err := openClientLedger(auditDir, tenant, logger)
+	if err != nil {
+		_ = chainCli.Close()
+		_ = cloud.Close()
+		return nil, nil, err
+	}
+	closeAll := func() {
+		// The ledger logs every record it fails to write itself, and the
+		// connections carried only completed calls.
+		_ = led.Close()
+		_ = cloud.Close()
+		_ = chainCli.Close()
+	}
+	return &exchange.Round{
+		Chain: exchange.Remote{Client: chainCli}, Cloud: cloud,
+		Contract: st.ContractAddr, Payer: st.UserAcct, Server: st.CloudAcct,
+		Owner: owner, User: user, Audit: led, Tenant: tenant,
+	}, closeAll, nil
+}
+
 func parseRecords(random int, bits int, values string, firstSeed int64) ([]core.Record, error) {
 	if random > 0 {
 		return workload.Generate(workload.Config{N: random, Bits: bits, Seed: firstSeed}), nil
@@ -209,16 +255,9 @@ func cmdInit(args []string) error {
 		UserAcct:  chain.AddressFromString("user"),
 		CloudAcct: chain.AddressFromString("cloud"),
 	}
-	nonce, err := chainCli.Nonce(st.OwnerAcct)
+	rc, err := exchange.Deploy(exchange.Remote{Client: chainCli}, st.OwnerAcct, owner)
 	if err != nil {
 		return err
-	}
-	rc, err := chainCli.Mine(contract.DeployTx(st.OwnerAcct, nonce, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil {
-		return err
-	}
-	if !rc.Status {
-		return fmt.Errorf("contract deployment reverted: %s", rc.Err)
 	}
 	st.ContractAddr = rc.ContractAddress
 	fmt.Printf("contract deployed at %s (gas %d)\n", rc.ContractAddress, rc.GasUsed)
@@ -280,19 +319,9 @@ func cmdInsert(args []string) error {
 		return err
 	}
 	defer chainCli.Close()
-	nonce, err := chainCli.Nonce(st.OwnerAcct)
+	rc, err := exchange.SetAc(exchange.Remote{Client: chainCli}, st.OwnerAcct, st.ContractAddr, owner)
 	if err != nil {
 		return err
-	}
-	rc, err := chainCli.Mine(&chain.Transaction{
-		From: st.OwnerAcct, To: st.ContractAddr, Nonce: nonce,
-		GasLimit: 1_000_000, Data: contract.SetAcData(owner.Ac()),
-	})
-	if err != nil {
-		return err
-	}
-	if !rc.Status {
-		return fmt.Errorf("SetAc reverted: %s", rc.Err)
 	}
 	fmt.Printf("inserted %d records; on-chain ADS digest refreshed (gas %d)\n", len(records), rc.GasUsed)
 
@@ -329,18 +358,11 @@ func cmdSearch(args []string) error {
 		defer func() { _ = tr.WriteText(os.Stderr) }()
 	}
 
-	st, err := loadState(*statePath)
+	rd, closeRound, err := dialRound(*statePath, dialOpts(), *auditDir, *tenant, logger)
 	if err != nil {
 		return err
 	}
-	owner, err := core.UnmarshalOwner(st.Owner)
-	if err != nil {
-		return err
-	}
-	user, err := core.NewUser(owner.ClientState())
-	if err != nil {
-		return err
-	}
+	defer closeRound()
 
 	var req *core.SearchRequest
 	var queryDesc string
@@ -358,7 +380,7 @@ func cmdSearch(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad range high bound: %w", err)
 		}
-		req, err = user.RangeTokens(*attr, lo, hi)
+		req, err = rd.User.RangeTokens(*attr, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -375,7 +397,7 @@ func cmdSearch(args []string) error {
 		default:
 			return fmt.Errorf("bad -op %q", *opFlag)
 		}
-		req, err = user.Token(core.Query{Attr: *attr, Op: op, Value: *value})
+		req, err = rd.User.Token(core.Query{Attr: *attr, Op: op, Value: *value})
 		if err != nil {
 			return err
 		}
@@ -385,32 +407,12 @@ func cmdSearch(args []string) error {
 	logger.Debug("tokens generated", "query", queryDesc, "tokens", len(req.Tokens))
 	fmt.Printf("query %s -> %d search tokens\n", queryDesc, len(req.Tokens))
 
-	chainCli, err := wire.DialChainOpts(st.ChainAddr, dialOpts())
+	res, err := rd.Run(req, *pay, tr)
 	if err != nil {
 		return err
 	}
-	defer chainCli.Close()
-	cloud, err := wire.DialCloudOpts(st.CloudAddr, dialOpts())
-	if err != nil {
-		return err
-	}
-	defer cloud.Close()
-	led, err := openClientLedger(*auditDir, *tenant, logger)
-	if err != nil {
-		return err
-	}
-	defer led.Close()
-
-	env := &fairExchangeEnv{
-		st: st, owner: owner, user: user,
-		cloud: cloud, chain: chainCli,
-		logger: logger, led: led, tenant: *tenant,
-	}
-	res, err := env.run(req, *pay, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("escrowed %d on chain (request %x...)\n", *pay, res.ReqID[:6])
+	logger.Debug("round finished", "settled", res.Settled, "gas", res.GasUsed)
+	fmt.Printf("escrowed %d on chain (request %x...)\n", *pay, res.RequestID[:6])
 	if !res.Settled {
 		fmt.Println("on-chain verification FAILED; payment refunded")
 		if res.VerifyErr != nil {
@@ -418,7 +420,7 @@ func cmdSearch(args []string) error {
 		}
 		return nil
 	}
-	fmt.Printf("on-chain verification passed (gas %d); payment settled to the cloud\n", res.SubmitGas)
+	fmt.Printf("on-chain verification passed (gas %d); payment settled to the cloud\n", res.GasUsed)
 	fmt.Println("matching record IDs:", res.IDs)
 	return nil
 }

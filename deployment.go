@@ -1,15 +1,13 @@
 package slicer
 
 import (
-	"crypto/rand"
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"slicer/internal/audit"
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 )
 
@@ -40,13 +38,9 @@ type DeploymentConfig struct {
 
 // SearchOutcome reports a fair-exchange search: the verified record IDs (nil
 // when verification failed and the payment was refunded), whether the
-// payment settled, and the gas the verification consumed.
-type SearchOutcome struct {
-	IDs       []uint64
-	Settled   bool
-	GasUsed   uint64
-	RequestID TxHash
-}
+// payment settled, the gas the verification consumed and, after a refund,
+// the local verification error attributing it.
+type SearchOutcome = exchange.Outcome
 
 // Deployment is a full Slicer system: owner, user, cloud, a PoA blockchain
 // network and the deployed verification/escrow contract.
@@ -55,10 +49,9 @@ type Deployment struct {
 	user  *core.User
 	cloud *core.Cloud
 
-	network      *chain.Network
+	chain        *exchange.Local
 	contractAddr Address
 	deployGas    uint64
-	validators   []Address
 	lastAcTx     TxHash // latest SetAc (or deployment) transaction
 
 	// Demo accounts.
@@ -70,26 +63,13 @@ type Deployment struct {
 	// used by examples and tests to demonstrate the refund path.
 	tamper func(*SearchResponse)
 
-	met deployMetrics
+	met exchange.Metrics
 
 	// aud, when set, journals every fair-exchange event; on a refund the
 	// full evidence bundle (tokens, raw response, accumulation value,
 	// receipt) is captured atomically with the record.
 	aud       *audit.Ledger
 	audTenant string
-}
-
-// deployMetrics are the fair-exchange instruments. The zero value is the
-// disabled state — every instrument is nil-safe.
-type deployMetrics struct {
-	searches *obs.Counter
-	settled  *obs.Counter
-	refunded *obs.Counter
-	gas      *obs.Counter
-	escrow   *obs.Histogram
-	search   *obs.Histogram
-	settle   *obs.Histogram
-	decrypt  *obs.Histogram
 }
 
 // SetObservability attaches a metrics registry to the deployment: the
@@ -100,21 +80,7 @@ type deployMetrics struct {
 // changes any protocol output.
 func (d *Deployment) SetObservability(reg *obs.Registry) {
 	d.cloud.SetMetrics(reg)
-	if reg == nil {
-		d.met = deployMetrics{}
-		return
-	}
-	const phaseHelp = "Latency of one fair-exchange phase, by phase."
-	d.met = deployMetrics{
-		searches: reg.Counter("slicer_fairexchange_searches_total", "Fair-exchange searches run."),
-		settled:  reg.Counter("slicer_fairexchange_settled_total", "Searches whose payment settled to the cloud."),
-		refunded: reg.Counter("slicer_fairexchange_refunded_total", "Searches refunded after failed on-chain verification."),
-		gas:      reg.Counter("slicer_fairexchange_gas_total", "Gas consumed by result-submission transactions (on-chain verification)."),
-		escrow:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "escrow"), phaseHelp),
-		search:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "cloud_search"), phaseHelp),
-		settle:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "settle"), phaseHelp),
-		decrypt:  reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "decrypt"), phaseHelp),
-	}
+	d.met = exchange.NewMetrics(reg)
 }
 
 // AttachAudit journals the deployment's fair-exchange events — searches
@@ -159,39 +125,12 @@ func NewDeployment(cfg DeploymentConfig, db []Record) (*Deployment, error) {
 		CloudAddr: chain.AddressFromString("slicer-cloud"),
 	}
 
-	registry := chain.NewRegistry()
-	if err := contract.Register(registry); err != nil {
+	if d.chain, err = exchange.NewLocal(cfg.Validators, cfg.InitialBalance, d.OwnerAddr, d.UserAddr, d.CloudAddr); err != nil {
 		return nil, err
 	}
-	names := cfg.Validators
-	if len(names) == 0 {
-		names = []string{"validator-0", "validator-1", "validator-2"}
-	}
-	validators := make([]Address, len(names))
-	for i, n := range names {
-		validators[i] = chain.AddressFromString(n)
-	}
-	d.validators = validators
-	balance := cfg.InitialBalance
-	if balance == 0 {
-		balance = 1_000_000_000_000
-	}
-	d.network, err = chain.NewNetwork(registry, validators, map[Address]uint64{
-		d.OwnerAddr: balance,
-		d.UserAddr:  balance,
-		d.CloudAddr: balance,
-	})
+	r, err := exchange.Deploy(d.chain, d.OwnerAddr, owner)
 	if err != nil {
 		return nil, err
-	}
-
-	deployTx := contract.DeployTx(d.OwnerAddr, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 10_000_000)
-	r, err := d.mine(deployTx)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: contract deployment reverted: %s", r.Err)
 	}
 	d.contractAddr = r.ContractAddress
 	d.deployGas = r.GasUsed
@@ -203,43 +142,12 @@ func (d *Deployment) Owner() *core.Owner       { return d.owner }
 func (d *Deployment) User() *core.User         { return d.user }
 func (d *Deployment) Cloud() *core.Cloud       { return d.cloud }
 func (d *Deployment) ContractAddress() Address { return d.contractAddr }
-func (d *Deployment) Network() *chain.Network  { return d.network }
-func (d *Deployment) Balance(a Address) uint64 { return d.network.Leader().Balance(a) }
-func (d *Deployment) BlockHeight() uint64      { return d.network.Leader().Height() }
+func (d *Deployment) Network() *chain.Network  { return d.chain.Network }
+func (d *Deployment) Balance(a Address) uint64 { return d.chain.Network.Leader().Balance(a) }
+func (d *Deployment) BlockHeight() uint64      { return d.chain.Network.Leader().Height() }
 
 // DeployGas reports the gas the contract deployment consumed (Table II row 1).
 func (d *Deployment) DeployGas() uint64 { return d.deployGas }
-
-// mine submits a transaction to every node, seals the next block and
-// returns the receipt.
-func (d *Deployment) mine(tx *chain.Transaction) (*Receipt, error) {
-	return d.mineTraced(tx, nil)
-}
-
-// mineTraced is mine with the chain's admission and sealing phases recorded
-// into an optional trace — the same span names a remote chain server
-// reports, so in-process and distributed traces read alike.
-func (d *Deployment) mineTraced(tx *chain.Transaction, tr *obs.Trace) (*Receipt, error) {
-	endSubmit := tr.Span("chain.submit")
-	if err := d.network.SubmitTx(tx); err != nil {
-		return nil, err
-	}
-	endSubmit()
-	endSeal := tr.Span("chain.seal")
-	if _, err := d.network.Step(); err != nil {
-		return nil, err
-	}
-	endSeal()
-	r, ok := d.network.Leader().Receipt(tx.Hash())
-	if !ok {
-		return nil, fmt.Errorf("slicer: receipt missing for %s", tx.Hash())
-	}
-	return r, nil
-}
-
-func (d *Deployment) nonce(a Address) uint64 {
-	return d.network.Leader().NextNonce(a)
-}
 
 // Insert adds records and refreshes the on-chain Ac digest, returning the
 // receipt of the SetAc transaction (its gas is Table II's "data insertion").
@@ -252,26 +160,15 @@ func (d *Deployment) Insert(records []Record) (*Receipt, error) {
 		return nil, err
 	}
 	d.user.UpdateStates(d.owner.StatesSnapshot())
-	tx := &chain.Transaction{
-		From:     d.OwnerAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.OwnerAddr),
-		GasLimit: 1_000_000,
-		Data:     contract.SetAcData(d.owner.Ac()),
-	}
-	r, err := d.mine(tx)
+	r, err := exchange.SetAc(d.chain, d.OwnerAddr, d.contractAddr, d.owner)
 	if err != nil {
 		return nil, err
 	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: SetAc reverted: %s", r.Err)
-	}
-	d.lastAcTx = tx.Hash()
-	txh := tx.Hash()
+	d.lastAcTx = r.TxHash
 	d.aud.Log(audit.Event{
 		Kind:   audit.KindUpdate,
 		Tenant: d.audTenant,
-		Detail: fmt.Sprintf("+%d records, SetAc tx %x… gas %d", len(records), txh[:8], r.GasUsed),
+		Detail: fmt.Sprintf("+%d records, SetAc tx %x… gas %d", len(records), r.TxHash[:8], r.GasUsed),
 	})
 	return r, nil
 }
@@ -282,7 +179,7 @@ func (d *Deployment) Insert(records []Record) (*Receipt, error) {
 // the user-side half of the freshness story (no owner participation
 // needed).
 func (d *Deployment) AcUpdateCount() (uint64, error) {
-	ret, _, err := d.network.Leader().CallStatic(d.UserAddr, d.contractAddr,
+	ret, _, err := d.chain.Network.Leader().CallStatic(d.UserAddr, d.contractAddr,
 		[]byte{contract.MethodGetAcDigest}, 1_000_000)
 	if err != nil {
 		return 0, fmt.Errorf("slicer: read Ac update count: %w", err)
@@ -305,7 +202,7 @@ func (d *Deployment) AcUpdateCount() (uint64, error) {
 // provably carries the newest accumulation value. Before any Insert the
 // digest committed at deployment is checked via contract state instead.
 func (d *Deployment) VerifyFreshness() error {
-	node := d.network.Leader()
+	node := d.chain.Network.Leader()
 	wantDigest := chain.HashBytes(d.owner.Ac().Bytes())
 
 	if d.lastAcTx == (TxHash{}) {
@@ -322,7 +219,7 @@ func (d *Deployment) VerifyFreshness() error {
 		return nil
 	}
 
-	lc, err := chain.NewLightClient(node.BlockByNumber(0).Header, d.validators)
+	lc, err := chain.NewLightClient(node.BlockByNumber(0).Header, d.chain.Validators)
 	if err != nil {
 		return err
 	}
@@ -351,6 +248,20 @@ func (d *Deployment) VerifyFreshness() error {
 // malicious-cloud refund path.
 func (d *Deployment) SetCloudTamper(f func(*SearchResponse)) { d.tamper = f }
 
+// round is the deployment's fair-exchange round as currently configured.
+func (d *Deployment) round() *exchange.Round {
+	var cloud exchange.Cloud = d.cloud
+	if d.tamper != nil {
+		cloud = exchange.Tamper(cloud, d.tamper)
+	}
+	return &exchange.Round{
+		Chain: d.chain, Cloud: cloud,
+		Contract: d.contractAddr, Payer: d.UserAddr, Server: d.CloudAddr,
+		Owner: d.owner, User: d.user,
+		Metrics: d.met, Audit: d.aud, Tenant: d.audTenant,
+	}
+}
+
 // VerifiedSearch runs the full fair-exchange flow of Fig. 1: the user
 // escrows payment with the token list on chain, the cloud searches and
 // submits results with proofs, the contract verifies and settles or
@@ -360,7 +271,7 @@ func (d *Deployment) VerifiedSearch(q Query, payment uint64) (*SearchOutcome, er
 	if err != nil {
 		return nil, err
 	}
-	return d.verifiedRequest(req, payment, nil)
+	return d.round().Run(req, payment, nil)
 }
 
 // VerifiedSearchTraced runs VerifiedSearch while recording a per-request
@@ -377,7 +288,7 @@ func (d *Deployment) VerifiedSearchTraced(q Query, payment uint64) (*SearchOutco
 		return nil, tr, err
 	}
 	endToken()
-	out, err := d.verifiedRequest(req, payment, tr)
+	out, err := d.round().Run(req, payment, tr)
 	return out, tr, err
 }
 
@@ -389,138 +300,7 @@ func (d *Deployment) VerifiedRangeSearch(attr string, lo, hi uint64, payment uin
 	if err != nil {
 		return nil, err
 	}
-	return d.verifiedRequest(req, payment, nil)
-}
-
-func (d *Deployment) verifiedRequest(req *SearchRequest, payment uint64, tr *obs.Trace) (*SearchOutcome, error) {
-	d.met.searches.Inc()
-	th, err := contract.TokensHash(req.Tokens)
-	if err != nil {
-		return nil, err
-	}
-	var reqID TxHash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return nil, fmt.Errorf("slicer: sample request id: %w", err)
-	}
-
-	endEscrow := obs.StartPhase(d.met.escrow, tr, "escrow")
-	r, err := d.mineTraced(&chain.Transaction{
-		From:     d.UserAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.UserAddr),
-		Value:    payment,
-		GasLimit: 1_000_000,
-		Data:     contract.RequestData(reqID, d.CloudAddr, th),
-	}, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: search request reverted: %s", r.Err)
-	}
-	endEscrow()
-	d.aud.Log(audit.Event{
-		Kind:   audit.KindSearch,
-		Tenant: d.audTenant,
-		Detail: fmt.Sprintf("request %x…, %d tokens, %d escrowed", reqID[:8], len(req.Tokens), payment),
-	})
-
-	endSearch := obs.StartPhase(d.met.search, tr, "cloud_search")
-	resp, err := d.cloud.SearchTraced(req, tr)
-	if err != nil {
-		return nil, err
-	}
-	endSearch()
-	if d.tamper != nil {
-		d.tamper(resp)
-	}
-	data, err := contract.SubmitData(reqID, d.owner.AccumulatorPub().Marshal(), d.owner.Ac(), resp.Results)
-	if err != nil {
-		return nil, err
-	}
-	endSettle := obs.StartPhase(d.met.settle, tr, "settle")
-	subTx := &chain.Transaction{
-		From:     d.CloudAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.CloudAddr),
-		GasLimit: 50_000_000,
-		Data:     data,
-	}
-	subTxHash := subTx.Hash()
-	r, err = d.mineTraced(subTx, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: result submission reverted: %s", r.Err)
-	}
-	endSettle()
-	d.met.gas.Add(r.GasUsed)
-
-	outcome := &SearchOutcome{RequestID: reqID, GasUsed: r.GasUsed}
-	if len(r.ReturnData) == 1 && r.ReturnData[0] == 1 {
-		d.met.settled.Inc()
-		outcome.Settled = true
-		d.aud.Log(audit.Event{
-			Kind:   audit.KindSettle,
-			Tenant: d.audTenant,
-			Detail: fmt.Sprintf("request %x… settled, gas %d", reqID[:8], r.GasUsed),
-		})
-		endDecrypt := obs.StartPhase(d.met.decrypt, tr, "decrypt")
-		ids, err := d.user.Decrypt(resp)
-		if err != nil {
-			return nil, err
-		}
-		endDecrypt()
-		outcome.IDs = ids
-	} else {
-		d.met.refunded.Inc()
-		d.auditRefund(reqID, subTxHash, req, resp, r)
-	}
-	return outcome, nil
-}
-
-// auditRefund journals a refund with its full evidence bundle: the tokens
-// the contract judged against, the raw response exactly as submitted, the
-// accumulation value and public parameters (so the proof check is replayable
-// from the bundle alone) and the chain receipt. The public verification is
-// re-run locally to attribute the failure to a phase and token index —
-// linking the structured core.VerificationError to the forensic record. The
-// ledger forces evidence durable before Append returns.
-func (d *Deployment) auditRefund(reqID TxHash, txHash TxHash, req *SearchRequest, resp *SearchResponse, r *Receipt) {
-	if d.aud == nil {
-		return
-	}
-	ev := &audit.Evidence{
-		Ac:         d.owner.Ac().Bytes(),
-		AccPub:     d.owner.AccumulatorPub().Marshal(),
-		TokenIndex: -1,
-		RequestID:  reqID[:],
-		TxHash:     txHash[:],
-		GasUsed:    r.GasUsed,
-		ReturnData: r.ReturnData,
-	}
-	if b, err := json.Marshal(req); err == nil {
-		ev.Tokens = b
-	}
-	if b, err := json.Marshal(resp); err == nil {
-		ev.Response = b
-	}
-	detail := fmt.Sprintf("request %x… refunded", reqID[:8])
-	if err := core.VerifyResponse(d.owner.AccumulatorPub(), d.owner.Ac(), req, resp); err != nil {
-		if ve, ok := core.AsVerificationError(err); ok {
-			ev.Phase = ve.Phase
-			ev.TokenIndex = ve.TokenIndex
-		}
-		detail += ": " + err.Error()
-	}
-	d.aud.Log(audit.Event{
-		Kind:     audit.KindRefund,
-		Outcome:  audit.OutcomeFail,
-		Tenant:   d.audTenant,
-		Detail:   detail,
-		Evidence: ev,
-	})
+	return d.round().Run(req, payment, nil)
 }
 
 // ProbeFunc returns an audit.ProbeFunc running one synthetic fair-exchange
@@ -528,17 +308,7 @@ func (d *Deployment) auditRefund(reqID TxHash, txHash TxHash, req *SearchRequest
 // failure (the refund's evidence bundle is journaled by the search itself,
 // so the probe record carries only the verdict).
 func (d *Deployment) ProbeFunc(q Query, payment uint64) audit.ProbeFunc {
-	return func() (string, *audit.Evidence, error) {
-		out, err := d.VerifiedSearch(q, payment)
-		if err != nil {
-			return "", nil, err
-		}
-		detail := fmt.Sprintf("%d ids, gas %d", len(out.IDs), out.GasUsed)
-		if !out.Settled {
-			return detail, nil, errors.New("on-chain verification failed: payment refunded")
-		}
-		return detail, nil, nil
-	}
+	return exchange.Probe(q, func(q Query) (*SearchOutcome, error) { return d.VerifiedSearch(q, payment) })
 }
 
 // RunProber starts a background prober issuing the synthetic search q every

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"crypto/rand"
 	"flag"
 	"fmt"
 	"log"
@@ -18,8 +17,8 @@ import (
 
 	"slicer"
 	"slicer/internal/chain"
-	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -84,25 +83,15 @@ func run() error {
 		fmt.Printf("admin endpoint: http://%s/metrics\n", adm.Addr())
 	}
 
-	registry := chain.NewRegistry()
-	if err := contract.Register(registry); err != nil {
-		return err
-	}
 	ownerAcct := chain.AddressFromString("owner")
 	userAcct := chain.AddressFromString("user")
 	cloudAcct := chain.AddressFromString("cloud")
-	validators := []chain.Address{
-		chain.AddressFromString("validator-a"),
-		chain.AddressFromString("validator-b"),
-		chain.AddressFromString("validator-c"),
-	}
-	network, err := chain.NewNetwork(registry, validators, map[chain.Address]uint64{
-		ownerAcct: 1 << 40, userAcct: 1 << 40, cloudAcct: 1 << 40,
-	})
+	local, err := exchange.NewLocal([]string{"validator-a", "validator-b", "validator-c"}, 1<<40,
+		ownerAcct, userAcct, cloudAcct)
 	if err != nil {
 		return err
 	}
-	chainSrv := wire.NewChainServer(network)
+	chainSrv := wire.NewChainServer(local.Network)
 	chainSrv.SetObservability(reg, logger)
 	chainAddr, err := chainSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -147,12 +136,10 @@ func run() error {
 		return err
 	}
 	defer chainCli.Close()
-	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
+	remote := exchange.Remote{Client: chainCli}
+	deployRc, err := exchange.Deploy(remote, ownerAcct, owner)
 	if err != nil {
 		return err
-	}
-	if !deployRc.Status {
-		return fmt.Errorf("deployment reverted: %s", deployRc.Err)
 	}
 	contractAddr := deployRc.ContractAddress
 	fmt.Printf("owner deployed contract at %s (gas %d)\n\n", contractAddr, deployRc.GasUsed)
@@ -167,67 +154,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	th, err := contract.TokensHash(req.Tokens)
-	if err != nil {
-		return err
-	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return err
-	}
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		return err
-	}
 	// One trace follows the whole fair exchange across all three machines:
 	// remote spans come back in the RPC responses and are spliced in.
 	tr := obs.NewTrace("distributed verified search")
 	const fee = 2500
-	endEscrow := tr.Span("escrow")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: userAcct, To: contractAddr, Nonce: nonce, Value: fee,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	}, tr); err != nil || !rc.Status {
-		return fmt.Errorf("escrow request failed: %v %s", err, rc.Err)
+	out, err := (&exchange.Round{
+		Chain: remote, Cloud: cloudCli,
+		Contract: contractAddr, Payer: userAcct, Server: cloudAcct,
+		Owner: owner, User: user,
+	}).Run(req, fee, tr)
+	if err != nil {
+		return err
 	}
-	endEscrow()
 	fmt.Printf("user escrowed %d for query 'value < 1000' (%d tokens)\n", fee, len(req.Tokens))
-
-	endSearch := tr.Span("cloud_search")
-	resp, err := cloudCli.SearchTraced(req, tr)
-	if err != nil {
-		return fmt.Errorf("remote search: %w", err)
+	fmt.Printf("cloud submitted results; on-chain verification settled=%v (gas %d)\n", out.Settled, out.GasUsed)
+	if !out.Settled {
+		return fmt.Errorf("search refunded: %v", out.VerifyErr)
 	}
-	endSearch()
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		return err
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		return err
-	}
-	endSettle := tr.Span("settle")
-	rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: cloudAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}, tr)
-	if err != nil {
-		return err
-	}
-	if !rc.Status {
-		return fmt.Errorf("submission reverted: %s", rc.Err)
-	}
-	endSettle()
-	settled := len(rc.ReturnData) == 1 && rc.ReturnData[0] == 1
-	fmt.Printf("cloud submitted results; on-chain verification settled=%v (gas %d)\n", settled, rc.GasUsed)
-	endDecrypt := tr.Span("decrypt")
-	ids, err := user.Decrypt(resp)
-	if err != nil {
-		return err
-	}
-	endDecrypt()
-	fmt.Println("decrypted matching record IDs:", ids)
+	fmt.Println("decrypted matching record IDs:", out.IDs)
 
 	fmt.Println("\nmerged cross-machine trace (party column: who measured the span):")
 	_ = tr.WriteText(os.Stdout)
@@ -241,15 +185,8 @@ func run() error {
 		return fmt.Errorf("remote update: %w", err)
 	}
 	user.UpdateStates(owner.StatesSnapshot())
-	nonce, err = chainCli.Nonce(ownerAcct)
-	if err != nil {
+	if _, err := exchange.SetAc(remote, ownerAcct, contractAddr, owner); err != nil {
 		return err
-	}
-	if rc, err := chainCli.Mine(&chain.Transaction{
-		From: ownerAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 1_000_000, Data: contract.SetAcData(owner.Ac()),
-	}); err != nil || !rc.Status {
-		return fmt.Errorf("SetAc failed: %v", err)
 	}
 	fmt.Println("\nowner inserted record 6 (value 640) and refreshed the on-chain digest")
 
@@ -257,14 +194,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err = cloudCli.Search(req)
+	resp, err := cloudCli.Search(req)
 	if err != nil {
 		return err
 	}
 	if err := core.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
 		return fmt.Errorf("verification after insert: %w", err)
 	}
-	ids, err = user.Decrypt(resp)
+	ids, err := user.Decrypt(resp)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -246,20 +247,14 @@ func TestDistributedTracePropagation(t *testing.T) {
 	}
 	defer adm.Close()
 
-	registry := chain.NewRegistry()
-	if err := contract.Register(registry); err != nil {
-		t.Fatal(err)
-	}
 	ownerAcct := chain.AddressFromString("owner")
 	userAcct := chain.AddressFromString("user")
 	cloudAcct := chain.AddressFromString("cloud")
-	network, err := chain.NewNetwork(registry,
-		[]chain.Address{chain.AddressFromString("v0")},
-		map[chain.Address]uint64{ownerAcct: 1 << 30, userAcct: 1 << 30, cloudAcct: 1 << 30})
+	local, err := exchange.NewLocal([]string{"v0"}, 1<<30, ownerAcct, userAcct, cloudAcct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainSrv := wire.NewChainServer(network)
+	chainSrv := wire.NewChainServer(local.Network)
 	chainSrv.SetObservability(reg, obs.Nop())
 	chainAddr, err := chainSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -288,9 +283,9 @@ func TestDistributedTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer chainCli.Close()
-	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil || !deployRc.Status {
-		t.Fatalf("contract deploy: %v %s", err, deployRc.Err)
+	deployRc, err := exchange.Deploy(exchange.Remote{Client: chainCli}, ownerAcct, owner)
+	if err != nil {
+		t.Fatalf("contract deploy: %v", err)
 	}
 	user, err := core.NewUser(owner.ClientState())
 	if err != nil {
@@ -306,51 +301,18 @@ func TestDistributedTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	endToken()
-	th, err := contract.TokensHash(req.Tokens)
+	out, err := (&exchange.Round{
+		Chain: exchange.Remote{Client: chainCli}, Cloud: cloudCli,
+		Contract: deployRc.ContractAddress, Payer: userAcct, Server: cloudAcct,
+		Owner: owner, User: user,
+	}).Run(req, 1000, tr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("traced round: %v", err)
 	}
-	reqID := chain.HashBytes([]byte("traced-req"))
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		t.Fatal(err)
+	if !out.Settled {
+		t.Fatalf("traced round refunded: %v", out.VerifyErr)
 	}
-	endEscrow := tr.Span("escrow")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: userAcct, To: deployRc.ContractAddress, Nonce: nonce, Value: 1000,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	}, tr); err != nil || !rc.Status {
-		t.Fatalf("escrow: %v %s", err, rc.Err)
-	}
-	endEscrow()
-	endSearch := tr.Span("cloud_search")
-	resp, err := cloudCli.SearchTraced(req, tr)
-	if err != nil {
-		t.Fatalf("traced search: %v", err)
-	}
-	endSearch()
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	endSettle := tr.Span("settle")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: cloudAcct, To: deployRc.ContractAddress, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}, tr); err != nil || !rc.Status {
-		t.Fatalf("submit: %v %s", err, rc.Err)
-	}
-	endSettle()
-	endDecrypt := tr.Span("decrypt")
-	ids, err := user.Decrypt(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	endDecrypt()
+	ids := out.IDs
 
 	// One merged tree: local pipeline phases plus remote spans, attributed
 	// to the party that measured them, with non-zero remote durations.

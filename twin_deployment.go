@@ -1,14 +1,12 @@
 package slicer
 
 import (
-	"crypto/rand"
-	"encoding/json"
 	"fmt"
 
 	"slicer/internal/audit"
 	"slicer/internal/chain"
-	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 )
 
 // TwinDeployment combines the deletion/update extension with the on-chain
@@ -21,10 +19,12 @@ type TwinDeployment struct {
 	owner *core.TwinOwner
 	user  *core.TwinUser
 	cloud *core.TwinCloud
+	// clouds answer the two halves' searches: [0]=insert instance,
+	// [1]=delete instance.
+	clouds [2]exchange.Cloud
 
-	network    *chain.Network
-	addrs      [2]Address // contract addresses: [0]=insert instance, [1]=delete instance
-	validators []Address
+	chain *exchange.Local
+	addrs [2]Address // contract addresses, indexed like clouds
 
 	OwnerAddr Address
 	UserAddr  Address
@@ -76,42 +76,18 @@ func NewTwinDeployment(cfg DeploymentConfig, db []Record) (*TwinDeployment, erro
 		owner:     owner,
 		user:      user,
 		cloud:     cloud,
+		clouds:    [2]exchange.Cloud{cloud.Add, cloud.Del},
 		OwnerAddr: chain.AddressFromString("twin-owner"),
 		UserAddr:  chain.AddressFromString("twin-user"),
 		CloudAddr: chain.AddressFromString("twin-cloud"),
 	}
-	registry := chain.NewRegistry()
-	if err := contract.Register(registry); err != nil {
+	if d.chain, err = exchange.NewLocal(cfg.Validators, cfg.InitialBalance, d.OwnerAddr, d.UserAddr, d.CloudAddr); err != nil {
 		return nil, err
 	}
-	names := cfg.Validators
-	if len(names) == 0 {
-		names = []string{"validator-0", "validator-1", "validator-2"}
-	}
-	d.validators = make([]Address, len(names))
-	for i, n := range names {
-		d.validators[i] = chain.AddressFromString(n)
-	}
-	balance := cfg.InitialBalance
-	if balance == 0 {
-		balance = 1_000_000_000_000
-	}
-	d.network, err = chain.NewNetwork(registry, d.validators, map[Address]uint64{
-		d.OwnerAddr: balance, d.UserAddr: balance, d.CloudAddr: balance,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	for i, inst := range d.owners() {
-		tx := contract.DeployTx(d.OwnerAddr, d.nonce(d.OwnerAddr),
-			inst.AccumulatorPub().Marshal(), inst.Ac(), 10_000_000)
-		r, err := d.mine(tx)
+		r, err := exchange.Deploy(d.chain, d.OwnerAddr, inst)
 		if err != nil {
-			return nil, err
-		}
-		if !r.Status {
-			return nil, fmt.Errorf("slicer: twin contract %d deployment reverted: %s", i, r.Err)
+			return nil, fmt.Errorf("slicer: twin contract %d: %w", i, err)
 		}
 		d.addrs[i] = r.ContractAddress
 	}
@@ -123,38 +99,13 @@ func (d *TwinDeployment) owners() [2]*core.Owner {
 }
 
 // Balance reads an account balance.
-func (d *TwinDeployment) Balance(a Address) uint64 { return d.network.Leader().Balance(a) }
-
-func (d *TwinDeployment) mine(tx *chain.Transaction) (*Receipt, error) {
-	if err := d.network.SubmitTx(tx); err != nil {
-		return nil, err
-	}
-	if _, err := d.network.Step(); err != nil {
-		return nil, err
-	}
-	r, ok := d.network.Leader().Receipt(tx.Hash())
-	if !ok {
-		return nil, fmt.Errorf("slicer: receipt missing")
-	}
-	return r, nil
-}
-
-func (d *TwinDeployment) nonce(a Address) uint64 {
-	return d.network.Leader().NextNonce(a)
-}
+func (d *TwinDeployment) Balance(a Address) uint64 { return d.chain.Network.Leader().Balance(a) }
 
 // refreshDigests posts both instances' current digests after a mutation.
 func (d *TwinDeployment) refreshDigests() error {
 	for i, inst := range d.owners() {
-		r, err := d.mine(&chain.Transaction{
-			From: d.OwnerAddr, To: d.addrs[i], Nonce: d.nonce(d.OwnerAddr),
-			GasLimit: 1_000_000, Data: contract.SetAcData(inst.Ac()),
-		})
-		if err != nil {
-			return err
-		}
-		if !r.Status {
-			return fmt.Errorf("slicer: twin SetAc %d reverted: %s", i, r.Err)
+		if _, err := exchange.SetAc(d.chain, d.OwnerAddr, d.addrs[i], inst); err != nil {
+			return fmt.Errorf("slicer: twin contract %d: %w", i, err)
 		}
 	}
 	return nil
@@ -209,98 +160,25 @@ func (d *TwinDeployment) VerifiedSearch(q Query, fee uint64) (*TwinOutcome, erro
 		return nil, err
 	}
 	halves := [2]*core.SearchRequest{req.Add, req.Del}
-	resp := &core.TwinResponse{}
+	var resps [2]*core.SearchResponse
 	outcome := &TwinOutcome{Settled: true}
-
-	for i := range halves {
-		inst := d.owners()[i]
+	for i, inst := range d.owners() {
 		// The delete instance may legitimately have no matching slices.
-		tokens := halves[i].Tokens
-		th, err := contract.TokensHash(tokens)
+		half, err := (&exchange.Round{
+			Chain: d.chain, Cloud: d.clouds[i],
+			Contract: d.addrs[i], Payer: d.UserAddr, Server: d.CloudAddr,
+			Owner: inst, Audit: d.aud, Tenant: d.audTenant,
+			Label: fmt.Sprintf("twin %s half, ", [2]string{"insert", "delete"}[i]),
+		}).Run(halves[i], fee/2, nil)
 		if err != nil {
 			return nil, err
 		}
-		var reqID TxHash
-		if _, err := rand.Read(reqID[:]); err != nil {
-			return nil, err
-		}
-		r, err := d.mine(&chain.Transaction{
-			From: d.UserAddr, To: d.addrs[i], Nonce: d.nonce(d.UserAddr),
-			Value: fee / 2, GasLimit: 1_000_000,
-			Data: contract.RequestData(reqID, d.CloudAddr, th),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !r.Status {
-			return nil, fmt.Errorf("slicer: twin escrow %d reverted: %s", i, r.Err)
-		}
-
-		var half *core.SearchResponse
-		if i == 0 {
-			half, err = d.cloud.Add.Search(halves[i])
-			resp.Add = half
-		} else {
-			half, err = d.cloud.Del.Search(halves[i])
-			resp.Del = half
-		}
-		if err != nil {
-			return nil, err
-		}
-		data, err := contract.SubmitData(reqID, inst.AccumulatorPub().Marshal(), inst.Ac(), half.Results)
-		if err != nil {
-			return nil, err
-		}
-		r, err = d.mine(&chain.Transaction{
-			From: d.CloudAddr, To: d.addrs[i], Nonce: d.nonce(d.CloudAddr),
-			GasLimit: 50_000_000, Data: data,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !r.Status {
-			return nil, fmt.Errorf("slicer: twin submission %d reverted: %s", i, r.Err)
-		}
-		outcome.GasUsed += r.GasUsed
-		instName := [2]string{"insert", "delete"}[i]
-		if len(r.ReturnData) == 1 && r.ReturnData[0] == 1 {
-			d.aud.Log(audit.Event{
-				Kind:   audit.KindSettle,
-				Tenant: d.audTenant,
-				Detail: fmt.Sprintf("twin %s half, request %x… settled, gas %d", instName, reqID[:8], r.GasUsed),
-			})
-		} else {
-			outcome.Settled = false
-			ev := &audit.Evidence{
-				Ac:         inst.Ac().Bytes(),
-				AccPub:     inst.AccumulatorPub().Marshal(),
-				TokenIndex: -1,
-				RequestID:  reqID[:],
-				GasUsed:    r.GasUsed,
-				ReturnData: r.ReturnData,
-			}
-			if b, err := json.Marshal(halves[i]); err == nil {
-				ev.Tokens = b
-			}
-			if b, err := json.Marshal(half); err == nil {
-				ev.Response = b
-			}
-			detail := fmt.Sprintf("twin %s half, request %x… refunded", instName, reqID[:8])
-			if verr := core.VerifyResponse(inst.AccumulatorPub(), inst.Ac(), halves[i], half); verr != nil {
-				if ve, ok := core.AsVerificationError(verr); ok {
-					ev.Phase = ve.Phase
-					ev.TokenIndex = ve.TokenIndex
-				}
-				detail += ": " + verr.Error()
-			}
-			d.aud.Log(audit.Event{
-				Kind: audit.KindRefund, Outcome: audit.OutcomeFail,
-				Tenant: d.audTenant, Detail: detail, Evidence: ev,
-			})
-		}
+		outcome.GasUsed += half.GasUsed
+		outcome.Settled = outcome.Settled && half.Settled
+		resps[i] = half.Response
 	}
 	if outcome.Settled {
-		ids, err := d.user.Decrypt(resp)
+		ids, err := d.user.Decrypt(&core.TwinResponse{Add: resps[0], Del: resps[1]})
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,12 @@
 package slicer
 
 import (
+	"strings"
 	"testing"
+
+	"slicer/internal/audit"
+	"slicer/internal/durable"
+	"slicer/internal/exchange"
 )
 
 func TestTwinDeploymentFairExchange(t *testing.T) {
@@ -65,5 +70,68 @@ func TestTwinDeploymentFairExchange(t *testing.T) {
 
 	if _, err := d.VerifiedSearch(Equal(10), 1); err == nil {
 		t.Error("sub-minimum fee accepted")
+	}
+}
+
+// TestTwinDeploymentRefundsTamperedHalf drops one encrypted result from the
+// insert half's response: that half's fee returns to the user, the honest
+// delete half still pays the cloud, and the refund is journaled once with
+// its evidence attributed.
+func TestTwinDeploymentRefundsTamperedHalf(t *testing.T) {
+	db := []Record{NewRecord(1, 10), NewRecord(2, 20), NewRecord(3, 10)}
+	d, err := NewTwinDeployment(DeploymentConfig{Params: testParams(8)}, db)
+	if err != nil {
+		t.Fatalf("NewTwinDeployment: %v", err)
+	}
+	led, err := audit.Open(audit.Options{FS: durable.NewMemFS(), Dir: "audit", Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	d.AttachAudit(led, "twin")
+	d.clouds[0] = exchange.Tamper(d.clouds[0], func(resp *SearchResponse) {
+		for i := range resp.Results {
+			if n := len(resp.Results[i].ER); n > 0 {
+				resp.Results[i].ER = resp.Results[i].ER[:n-1]
+				return
+			}
+		}
+	})
+	const fee = 1000
+	userStart, cloudStart := d.Balance(d.UserAddr), d.Balance(d.CloudAddr)
+
+	out, err := d.VerifiedSearch(Equal(10), fee)
+	if err != nil {
+		t.Fatalf("VerifiedSearch: %v", err)
+	}
+	if out.Settled || out.IDs != nil {
+		t.Fatalf("outcome = %+v, want unsettled with no IDs", out)
+	}
+	if got := d.Balance(d.UserAddr); got != userStart-fee/2 {
+		t.Errorf("user balance %d, want %d (insert half refunded)", got, userStart-fee/2)
+	}
+	if got := d.Balance(d.CloudAddr); got != cloudStart+fee/2 {
+		t.Errorf("cloud balance %d, want %d (delete half settled)", got, cloudStart+fee/2)
+	}
+
+	if err := led.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var refunds []*audit.Record
+	for _, r := range led.Recent(0) {
+		if r.Kind == audit.KindRefund {
+			refunds = append(refunds, r)
+		}
+	}
+	if len(refunds) != 1 {
+		t.Fatalf("%d refund records, want 1", len(refunds))
+	}
+	r := refunds[0]
+	if !strings.HasPrefix(r.Detail, "twin insert half, ") || r.Tenant != "twin" {
+		t.Errorf("refund record %q tenant %q, want the insert half named, tenant twin", r.Detail, r.Tenant)
+	}
+	ev := r.Evidence
+	if ev == nil || len(ev.TxHash) == 0 || len(ev.RequestID) == 0 || ev.Phase == "" || ev.TokenIndex < 0 {
+		t.Fatalf("refund evidence not complete: %+v", ev)
 	}
 }
