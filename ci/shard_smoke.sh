@@ -2,11 +2,11 @@
 # Sharded-tier smoke test: boot three slicer-cloud shards behind a
 # slicer-router (all journaling to -data-dir) plus a chain, build state
 # through slicer-cli as if the router were one cloud, then SIGKILL one
-# shard and — while it is down — ask the router to move a range onto it.
-# The move must stall, survive the shard restarting on its data
-# directory, and complete; afterwards a fresh search must pass on-chain
-# verification, which only holds if no index entry was lost or
-# duplicated across the kill + move + restart.
+# shard and — while it is down — ask the router to move a range onto it
+# (arc after arc, until one holds entries). That move must stall, survive
+# the shard restarting on its data directory, and complete; afterwards a
+# fresh search must pass on-chain verification, which only holds if no
+# index entry was lost or duplicated across the kill + move + restart.
 #
 # Expects slicer-cloud, slicer-router, slicer-chain and slicer-cli in
 # $BIN (default /tmp), e.g.:
@@ -91,33 +91,50 @@ echo "== build state through the router =="
 "${CLI[@]}" status "${COMMON[@]}" | tee "$WORK/status.out"
 grep -q 'router: table epoch' "$WORK/status.out"
 
-echo "== pick a source arc and a destination shard =="
+echo "== pick a source shard and a destination shard =="
 "${CLI[@]}" rebalance "${COMMON[@]}" -show | tee "$WORK/table.out"
-# First arc line: "  <shard> [<lo>, <hi>)". Move it to a different shard.
-ARC=$(grep -E '^\s+s[0-9]+\s+\[' "$WORK/table.out" | head -1)
-SRC=$(echo "$ARC" | awk '{print $1}')
-LO=$(echo "$ARC" | sed -E 's/.*\[([0-9a-fx]+),.*/\1/')
-HI=$(echo "$ARC" | sed -E 's/.*, *([0-9a-fx^]+)\).*/\1/')
-[ "$HI" = "2^64" ] && HI=0
+# Arc lines read "  <shard> [<lo>, <hi>)". The first arc's shard is the
+# source; every one of its arcs is a candidate move onto another shard.
+SRC=$(grep -E '^\s+s[0-9]+\s+\[' "$WORK/table.out" | head -1 | awk '{print $1}')
 for cand in s1 s2 s3; do
 	if [ "$cand" != "$SRC" ]; then DST=$cand; break; fi
 done
 DST_ADDR_VAR="${DST^^}_ADDR"
 DST_PID_VAR="${DST^^}_PID"
-echo "moving $SRC arc [$LO, $HI) to $DST"
+mapfile -t ARCS < <(grep -E "^\s+$SRC\s+\[" "$WORK/table.out")
 
-echo "== SIGKILL destination shard $DST, then start the move =="
+echo "== SIGKILL destination shard $DST, then move $SRC arcs until one stalls =="
 kill -9 "${!DST_PID_VAR}"
 wait "${!DST_PID_VAR}" 2>/dev/null || true
-# The move's import pages retry against the dead shard; give the command
-# no call deadline so the stalled move can outlive the default timeout.
-"${CLI[@]}" rebalance "${COMMON[@]}" -call-timeout 0 \
-	-lo "$LO" -hi "$HI" -to "$DST" >"$WORK/move.out" 2>&1 &
-MOVE_PID=$!
-sleep 2
-if ! kill -0 "$MOVE_PID" 2>/dev/null; then
-	echo "move finished while the destination was down:" >&2
-	cat "$WORK/move.out" >&2
+# A move with entries to ship retries its import pages against the dead
+# shard and stalls. An arc that holds no entries ships nothing, so its move
+# completes at once; that is not a failure, and the next arc is tried. The
+# command gets no call deadline so the stalled move can outlive the default
+# timeout.
+MOVES=0
+STALLED=
+for ARC in "${ARCS[@]}"; do
+	LO=$(echo "$ARC" | sed -E 's/.*\[([0-9a-fx]+),.*/\1/')
+	HI=$(echo "$ARC" | sed -E 's/.*, *([0-9a-fx^]+)\).*/\1/')
+	[ "$HI" = "2^64" ] && HI=0
+	echo "moving $SRC arc [$LO, $HI) to $DST"
+	"${CLI[@]}" rebalance "${COMMON[@]}" -call-timeout 0 \
+		-lo "$LO" -hi "$HI" -to "$DST" >"$WORK/move.out" 2>&1 &
+	MOVE_PID=$!
+	sleep 2
+	if kill -0 "$MOVE_PID" 2>/dev/null; then
+		STALLED=1
+		break
+	fi
+	if ! wait "$MOVE_PID" || ! grep -q "^moved .* to $DST: 0 entries in" "$WORK/move.out"; then
+		echo "move finished while the destination was down:" >&2
+		cat "$WORK/move.out" >&2
+		exit 1
+	fi
+	MOVES=$((MOVES + 1))
+done
+if [ -z "$STALLED" ]; then
+	echo "no arc of $SRC held entries; no move stalled on the dead destination" >&2
 	exit 1
 fi
 
@@ -127,10 +144,11 @@ grep -q 'recovered from' "$WORK/$DST-recovered.log"
 wait "$MOVE_PID"
 cat "$WORK/move.out"
 grep -q "^moved .* to $DST:" "$WORK/move.out"
+MOVES=$((MOVES + 1))
 
-echo "== routing table advanced an epoch =="
+echo "== routing table advanced one epoch per completed move ($MOVES) =="
 "${CLI[@]}" rebalance "${COMMON[@]}" -show | tee "$WORK/table2.out"
-grep -q 'epoch 1' "$WORK/table2.out"
+grep -q "^routing table epoch $MOVES " "$WORK/table2.out"
 
 echo "== fresh verified search settles on chain =="
 "${CLI[@]}" search "${COMMON[@]}" -op '=' -value 7 | tee "$WORK/search.out"

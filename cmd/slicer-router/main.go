@@ -63,10 +63,6 @@ func run() error {
 	shardsFlag := flag.String("shards", "", "shard fleet: comma-separated id=host:port (required)")
 	dataDir := flag.String("data-dir", "", "durable data directory: routing-table + trapdoor-key WAL, crash-safe recovery at boot")
 	fsync := flag.String("fsync", "always", "WAL durability: always, never, or a flush interval like 100ms")
-	vnodes := flag.Int("vnodes", shard.DefaultVnodes, "consistent-hash points per shard for a fresh routing table")
-	ringEpochs := flag.Int("ring-epochs", 8, "past routing-table epochs retained in memory for inspection")
-	workers := flag.Int("workers", 0, "token-level search concurrency (0: one per core)")
-	batch := flag.Int("batch", shard.DefaultBatch, "counter probes per scatter round trip")
 	admin := flag.String("admin", "", "optional admin HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
@@ -94,15 +90,11 @@ func run() error {
 		clientOpts.CallTimeout = -1
 	}
 	opts := shard.Options{
-		Shards:     specs,
-		DataDir:    *dataDir,
-		Vnodes:     *vnodes,
-		RingEpochs: *ringEpochs,
-		Workers:    *workers,
-		Batch:      *batch,
-		Registry:   reg,
-		Logger:     logger,
-		Client:     clientOpts,
+		Shards:   specs,
+		DataDir:  *dataDir,
+		Registry: reg,
+		Logger:   logger,
+		Client:   clientOpts,
 	}
 	if *dataDir != "" {
 		policy, interval, err := durable.ParsePolicy(*fsync)

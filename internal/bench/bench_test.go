@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"slicer/internal/obs"
 )
 
 // tinyScale keeps the full experiment matrix runnable inside the unit test
@@ -130,5 +132,26 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown rendering lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAblationShardsReportsShardMetrics runs ablation-shards with a registry
+// attached, as slicer-bench -obs does: both passes share the router series,
+// and the experiment's delta must show the router's batched label fetches.
+func TestAblationShardsReportsShardMetrics(t *testing.T) {
+	r := NewRunner(tinyScale)
+	r.Registry = obs.NewRegistry()
+	before := r.Registry.Snapshot()
+	if _, err := r.AblationShards(); err != nil {
+		t.Fatal(err)
+	}
+	var mgets float64
+	for k, v := range obs.Delta(before, r.Registry.Snapshot()) {
+		if strings.HasPrefix(k, "slicer_shard_mget_total") {
+			mgets += v
+		}
+	}
+	if mgets <= 0 {
+		t.Fatalf("slicer_shard_mget_total delta = %v, want > 0", mgets)
 	}
 }

@@ -75,7 +75,7 @@ func (r *Runner) AblationShards() (*Table, error) {
 			servers = append(servers, srv)
 			specs = append(specs, shard.ShardSpec{ID: fmt.Sprintf("s%d", i+1), Addr: addr})
 		}
-		router, err := shard.NewRouter(shard.Options{Shards: specs})
+		router, err := shard.NewRouter(shard.Options{Shards: specs, Registry: r.Registry})
 		if err != nil {
 			return nil, err
 		}

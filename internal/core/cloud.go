@@ -42,7 +42,7 @@ const (
 // AttachWitnesses, Marshal and the stats accessors take a read lock, so any
 // number of users can query simultaneously; ApplyUpdate takes the write
 // lock and observes a quiescent index. Within one request, per-token work
-// additionally fans out across a bounded worker pool (SearchWorkers).
+// additionally fans out across a bounded worker pool (SetSearchWorkers).
 type Cloud struct {
 	mu     sync.RWMutex
 	params Params
@@ -88,11 +88,10 @@ type witEntry struct {
 // from, plus a comb table over it, built at most once when the batch is big
 // enough that table reuse across the batch's witnesses pays for the build.
 type updateBatch struct {
-	base  *big.Int
-	size  int
-	teeth int
-	once  sync.Once
-	fb    *accumulator.FixedBase
+	base *big.Int
+	size int
+	once sync.Once
+	fb   *accumulator.FixedBase
 }
 
 // batchCombMin is the batch size from which a lazy update batch builds a
@@ -109,7 +108,7 @@ func (b *updateBatch) comb(pp *accumulator.PublicParams) *accumulator.FixedBase 
 		if b.size < batchCombMin {
 			return
 		}
-		fb, err := pp.NewFixedBase(b.base, b.size*hprime.PrimeBits, b.teeth)
+		fb, err := pp.NewFixedBase(b.base, b.size*hprime.PrimeBits, 0)
 		if err == nil {
 			b.fb = fb
 		}
@@ -133,7 +132,6 @@ func NewCloud(st *CloudState, mode WitnessMode) (*Cloud, error) {
 		primeSet: make(map[string]int),
 		ac:       new(big.Int).Set(st.Ac),
 		mode:     mode,
-		workers:  st.Params.SearchWorkers,
 	}
 	if st.Index != nil {
 		if err := c.index.Merge(st.Index); err != nil {
@@ -161,13 +159,6 @@ func (c *Cloud) SetSearchWorkers(n int) error {
 	defer c.mu.Unlock()
 	c.workers = n
 	return nil
-}
-
-// SearchWorkers reports the configured fan-out (0 = one per core).
-func (c *Cloud) SearchWorkers() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.workers
 }
 
 // SearchCalls reports how many Search requests the cloud has served — one
@@ -261,7 +252,7 @@ func (c *Cloud) applyLazy(newPrimes []*big.Int, total int) {
 	prod := accumulator.Product(newPrimes)
 	c.journal = append(c.journal, prod)
 	c.pendingPrimes += len(newPrimes)
-	batch := &updateBatch{base: new(big.Int).Set(c.ac), size: len(newPrimes), teeth: c.params.FixedBaseTeeth}
+	batch := &updateBatch{base: new(big.Int).Set(c.ac), size: len(newPrimes)}
 	start := len(c.primes)
 	c.addPrimes(newPrimes)
 	for i := start; i < len(c.primes); i++ {
@@ -318,7 +309,7 @@ func (c *Cloud) resetTree() {
 	if c.wtree != nil && len(c.primes) >= treeCombMin &&
 		(c.fbG == nil || c.fbG.CapBits() < needBits) {
 		// Size for 2x the current set so trickle inserts don't rebuild it.
-		if fb, err := c.accPub.NewFixedBase(c.accPub.G, 2*needBits, c.params.FixedBaseTeeth); err == nil {
+		if fb, err := c.accPub.NewFixedBase(c.accPub.G, 2*needBits, 0); err == nil {
 			c.fbG = fb
 		}
 	}
@@ -385,16 +376,6 @@ func (c *Cloud) ADSSizeBytes() int {
 	return total
 }
 
-// tokenWorkers resolves the fan-out for an n-token request. Must be called
-// with the lock held (read or write).
-func (c *Cloud) tokenWorkers(n int) int {
-	w := effectiveWorkers(c.workers)
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 // Search runs Algorithm 4 for every token in the request: walk the trapdoor
 // chain from the newest epoch backwards (via π_pk), drain each epoch's
 // counter sequence from the index, then build the verification object.
@@ -417,7 +398,7 @@ func (c *Cloud) SearchTraced(req *SearchRequest, tr *obs.Trace) (*SearchResponse
 	c.met.tokens.Add(uint64(len(req.Tokens)))
 	t0 := c.met.search.Start()
 	results := make([]TokenResult, len(req.Tokens))
-	err := forEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), c.workers, func(i int) error {
 		res, err := c.searchToken(req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -440,7 +421,7 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	results := make([]TokenResult, len(req.Tokens))
-	err := forEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), c.workers, func(i int) error {
 		t0 := c.met.collect.Start()
 		er, err := c.collectResults(req.Tokens[i])
 		if err != nil {
@@ -462,7 +443,7 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 func (c *Cloud) AttachWitnesses(resp *SearchResponse) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return forEachIndexed(len(resp.Results), c.tokenWorkers(len(resp.Results)), func(i int) error {
+	return ForEachIndexed(len(resp.Results), c.workers, func(i int) error {
 		t0 := c.met.witness.Start()
 		vo, err := c.witnessFor(resp.Results[i].Token, resp.Results[i].ER)
 		if err != nil {
@@ -492,14 +473,28 @@ func (c *Cloud) searchToken(tok SearchToken, tr *obs.Trace) (TokenResult, error)
 }
 
 // resultChunk is how many unmasked entries share one backing allocation in
-// collectResults.
+// Collect.
 const resultChunk = 64
 
-// collectResults walks epochs j..0 of one keyword's trapdoor chain and
-// unmasks every stored handle. The label/mask PRF states and the result
-// backing storage are allocated once per call and reused across entries
-// (large result sets previously paid three heap allocations per entry).
+// collectResults walks one keyword's trapdoor chain over the cloud's own
+// index, one label per lookup (a wider batch would only add wasted label
+// PRFs after each epoch's last entry). Callers hold the read lock.
 func (c *Cloud) collectResults(tok SearchToken) ([][]byte, error) {
+	return Collect(c.tpk, tok, 1, c.getEntries)
+}
+
+// Collect is the result-generation half of Algorithm 4, the only copy in
+// the module: it walks epochs j..0 of one keyword's trapdoor chain (newest
+// first, stepping back with π_pk), probes each epoch's counters batch labels
+// per lookup until the first missing counter, and unmasks every stored
+// handle in walk order. lookup resolves one batch of labels into slices
+// Collect owns, setting found[i] and, when found, payloads[i] for every i.
+// The cloud runs the walk over its index; the shard router runs it over
+// batched fetches from the owning shards, so both return the same bytes.
+// The label/mask PRF states and the result backing storage are allocated
+// once per call and reused across entries.
+func Collect(tpk *trapdoor.PublicKey, tok SearchToken, batch int,
+	lookup func(labels []store.Label, payloads []store.Payload, found []bool) error) ([][]byte, error) {
 	lk, err := prf.KeyFromBytes(tok.G1)
 	if err != nil {
 		return nil, fmt.Errorf("token G1: %w", err)
@@ -510,32 +505,41 @@ func (c *Cloud) collectResults(tok SearchToken) ([][]byte, error) {
 	}
 	labelEval := lk.NewEvaluator()
 	maskEval := dk.NewEvaluator()
+	labels := make([]store.Label, batch)
+	payloads := make([]store.Payload, batch)
+	found := make([]bool, batch)
 	var er [][]byte
 	var chunk []byte
 	t := tok.Trapdoor
 	for i := tok.Epoch; i >= 0; i-- {
-		for cctr := uint64(0); ; cctr++ {
-			l, err := store.LabelFromBytes(labelEval.EvalWithCounter(t, cctr))
-			if err != nil {
+	epoch:
+		for base := uint64(0); ; base += uint64(batch) {
+			for k := range labels {
+				if labels[k], err = store.LabelFromBytes(labelEval.EvalWithCounter(t, base+uint64(k))); err != nil {
+					return nil, err
+				}
+			}
+			if err := lookup(labels, payloads, found); err != nil {
 				return nil, err
 			}
-			d, ok := c.index.Get(l)
-			if !ok {
-				break
+			for k := range labels {
+				if !found[k] {
+					break epoch // the epoch's counters end at the first miss
+				}
+				mask := maskEval.EvalWithCounter(t, base+uint64(k))
+				if len(chunk) < store.EntrySize {
+					chunk = make([]byte, resultChunk*store.EntrySize)
+				}
+				r := chunk[:store.EntrySize:store.EntrySize]
+				chunk = chunk[store.EntrySize:]
+				for b := range r {
+					r[b] = mask[b] ^ payloads[k][b]
+				}
+				er = append(er, r)
 			}
-			mask := maskEval.EvalWithCounter(t, cctr)
-			if len(chunk) < store.EntrySize {
-				chunk = make([]byte, resultChunk*store.EntrySize)
-			}
-			r := chunk[:store.EntrySize:store.EntrySize]
-			chunk = chunk[store.EntrySize:]
-			for b := range r {
-				r[b] = mask[b] ^ d[b]
-			}
-			er = append(er, r)
 		}
 		if i > 0 {
-			t, err = c.tpk.Forward(t)
+			t, err = tpk.Forward(t)
 			if err != nil {
 				return nil, fmt.Errorf("walk trapdoor chain: %w", err)
 			}

@@ -93,7 +93,6 @@ func UnmarshalCloud(data []byte) (*Cloud, error) {
 		primeSet: make(map[string]int, len(st.Primes)),
 		ac:       new(big.Int).SetBytes(st.Ac),
 		mode:     mode,
-		workers:  st.Params.SearchWorkers,
 	}
 	primes := make([]*big.Int, len(st.Primes))
 	for i, p := range st.Primes {

@@ -250,13 +250,10 @@ func TestApplyUpdateWitnessMaintenance(t *testing.T) {
 	d.search(t, Equal(db[0].Attrs[0].Value))
 }
 
-// TestSetSearchWorkersValidation covers the knob's bounds and the Params
-// plumbing.
+// TestSetSearchWorkersValidation covers the knob's bounds.
 func TestSetSearchWorkersValidation(t *testing.T) {
 	db := []Record{NewRecord(1, 1)}
-	params := testParams(8)
-	params.SearchWorkers = 2
-	owner, err := NewOwner(params)
+	owner, err := NewOwner(testParams(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,18 +265,11 @@ func TestSetSearchWorkersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cloud.SearchWorkers(); got != 2 {
-		t.Fatalf("SearchWorkers = %d, want 2 (from Params)", got)
-	}
 	if err := cloud.SetSearchWorkers(-1); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
 	if err := cloud.SetSearchWorkers(0); err != nil {
 		t.Fatalf("SetSearchWorkers(0): %v", err)
-	}
-	params.SearchWorkers = -1
-	if _, err := NewOwner(params); err == nil {
-		t.Fatal("negative Params.SearchWorkers accepted")
 	}
 }
 
@@ -289,7 +279,7 @@ func TestSetSearchWorkersValidation(t *testing.T) {
 func TestForEachIndexedFirstError(t *testing.T) {
 	fail := map[int]bool{3: true, 7: true, 11: true}
 	for _, workers := range []int{1, 2, 4, 16} {
-		err := forEachIndexed(16, workers, func(i int) error {
+		err := ForEachIndexed(16, workers, func(i int) error {
 			if fail[i] {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -299,7 +289,7 @@ func TestForEachIndexedFirstError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want fail-3", workers, err)
 		}
 	}
-	if err := forEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
 }

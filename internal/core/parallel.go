@@ -7,7 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// forEachIndexed runs fn(0) .. fn(n-1) across at most workers goroutines.
+// ForEachIndexed runs fn(0) .. fn(n-1) across at most workers goroutines;
+// workers <= 0 means one per available core (GOMAXPROCS). It is the one
+// token fan-out of the module: the cloud's search pipeline, VerifyResponse
+// and the shard router all run on it.
 //
 // It preserves the semantics of the serial loop the callers replaced:
 //
@@ -19,16 +22,19 @@ import (
 //     results would be discarded anyway), but lower indices always run, so
 //     the winning error cannot change with scheduling.
 //
-// workers <= 1 (or n <= 1) degrades to the plain serial loop with zero
+// workers == 1 (or n <= 1) degrades to the plain serial loop with zero
 // goroutine overhead.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
+func ForEachIndexed(n, workers int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n == 1 {
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -72,13 +78,4 @@ func forEachIndexed(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// effectiveWorkers resolves a configured worker count: 0 (or negative) means
-// "one per available core", anything else is taken literally.
-func effectiveWorkers(configured int) int {
-	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
 }

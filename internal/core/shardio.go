@@ -31,10 +31,17 @@ func (c *Cloud) GetEntries(labels []store.Label) (payloads []store.Payload, foun
 	defer c.mu.RUnlock()
 	payloads = make([]store.Payload, len(labels))
 	found = make([]bool, len(labels))
+	_ = c.getEntries(labels, payloads, found) // never fails
+	return payloads, found
+}
+
+// getEntries is Collect's lookup over the cloud's own index. Callers hold
+// the lock (read or write).
+func (c *Cloud) getEntries(labels []store.Label, payloads []store.Payload, found []bool) error {
 	for i, l := range labels {
 		payloads[i], found[i] = c.index.Get(l)
 	}
-	return payloads, found
+	return nil
 }
 
 // WitnessForPrime produces the membership witness for an already-derived

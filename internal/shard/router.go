@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/big"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"slicer/internal/durable"
 	"slicer/internal/mhash"
 	"slicer/internal/obs"
-	"slicer/internal/prf"
 	"slicer/internal/store"
 	"slicer/internal/trapdoor"
 	"slicer/internal/wire"
@@ -32,7 +30,7 @@ const (
 
 // DefaultBatch is how many counter probes one scatter round trip carries.
 // The in-epoch walk stops at the first miss, so a batch trades one RPC for
-// at most Batch-1 wasted label lookups on the final round.
+// at most DefaultBatch-1 wasted label lookups on each epoch's final round.
 const DefaultBatch = 16
 
 // ShardSpec names one shard and where to dial it.
@@ -54,16 +52,6 @@ type Options struct {
 	// Fsync / FsyncInterval select the WAL durability policy.
 	Fsync         durable.Policy
 	FsyncInterval time.Duration
-	// Vnodes is the consistent-hash points per shard for a fresh table
-	// (default DefaultVnodes).
-	Vnodes int
-	// RingEpochs bounds how many past table epochs are retained in memory
-	// for inspection via router.table (default 8).
-	RingEpochs int
-	// Workers bounds token-level search concurrency (0: one per core).
-	Workers int
-	// Batch is the counter-probe batch size (default DefaultBatch).
-	Batch int
 	// Registry receives slicer_shard_* series (may be nil).
 	Registry *obs.Registry
 	// Logger records scatter and rebalance lifecycle events (may be nil).
@@ -108,21 +96,19 @@ type journalRec struct {
 // Router fronts N cloud shards as one Cloud: it serves the cloud.* wire
 // methods itself, scattering searches and splitting init/update by address,
 // so an unmodified user/owner/verifier stack works against it byte-for-byte.
+// Searches fan tokens out over one worker per core, and fresh routing tables
+// get DefaultVnodes points per shard.
 type Router struct {
 	srv     *wire.Server
 	specs   []ShardSpec
 	pools   map[string]*pool
-	workers int
-	batch   int
-	epochs  int
 	logger  *slog.Logger
 	started time.Time
 
-	mu      sync.RWMutex // guards table, history, tpk, window
-	table   *Table
-	history []*Table
-	tpk     *trapdoor.PublicKey
-	window  *moveWindow
+	mu     sync.RWMutex // guards table, tpk, window
+	table  *Table
+	tpk    *trapdoor.PublicKey
+	window *moveWindow
 
 	// updateMu serializes owner updates against a move's cutover phase, so
 	// the final catch-up export cannot race an update into the source shard
@@ -155,17 +141,8 @@ func NewRouter(opts Options) (*Router, error) {
 		srv:     wire.NewServer(),
 		specs:   append([]ShardSpec(nil), opts.Shards...),
 		pools:   make(map[string]*pool, len(opts.Shards)),
-		workers: effectiveWorkers(opts.Workers),
-		batch:   opts.Batch,
-		epochs:  opts.RingEpochs,
 		logger:  opts.Logger,
 		started: time.Now(),
-	}
-	if r.batch <= 0 {
-		r.batch = DefaultBatch
-	}
-	if r.epochs <= 0 {
-		r.epochs = 8
 	}
 	if r.logger == nil {
 		r.logger = obs.Nop()
@@ -185,7 +162,7 @@ func NewRouter(opts Options) (*Router, error) {
 		return nil, err
 	}
 	if r.table == nil {
-		t, err := NewTable(ids, opts.Vnodes)
+		t, err := NewTable(ids, DefaultVnodes)
 		if err != nil {
 			return nil, err
 		}
@@ -258,15 +235,9 @@ func (r *Router) recover(opts Options) error {
 	return nil
 }
 
-// pushTable installs a table and retains the previous epoch in the bounded
-// history. Caller holds r.mu or runs before the server listens.
+// pushTable installs a table. Caller holds r.mu or runs before the server
+// listens.
 func (r *Router) pushTable(t *Table) {
-	if r.table != nil {
-		r.history = append(r.history, r.table)
-		if max := r.epochs; len(r.history) > max {
-			r.history = r.history[len(r.history)-max:]
-		}
-	}
 	r.table = t
 	r.met.epoch.Set(float64(t.Epoch))
 }
@@ -502,10 +473,10 @@ func (r *Router) trapdoorPub() (*trapdoor.PublicKey, error) {
 }
 
 // handleSearch is the scatter-gather search path: per token, the router
-// walks the trapdoor chain itself (it holds the token's PRF keys and the
-// public trapdoor key — both already in the cloud trust domain), batch-probes
-// counters across the owning shards, unmasks in exact single-cloud order,
-// and delegates VO generation for the merged result set to one shard.
+// runs core's Algorithm 4 walk itself (it holds the token's PRF keys and the
+// public trapdoor key — both already in the cloud trust domain) over
+// batched label fetches from the owning shards, and delegates VO generation
+// for the merged result set to one shard.
 func (r *Router) handleSearch(params json.RawMessage, tr *obs.Trace, _ wire.Meta) (any, error) {
 	tpk, err := r.trapdoorPub()
 	if err != nil {
@@ -517,7 +488,7 @@ func (r *Router) handleSearch(params json.RawMessage, tr *obs.Trace, _ wire.Meta
 	}
 	r.met.searches.Inc()
 	results := make([]core.TokenResult, len(req.Tokens))
-	err = forEachIndexed(len(req.Tokens), r.workers, func(i int) error {
+	err = core.ForEachIndexed(len(req.Tokens), 0, func(i int) error {
 		res, err := r.searchToken(tpk, req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -533,7 +504,10 @@ func (r *Router) handleSearch(params json.RawMessage, tr *obs.Trace, _ wire.Meta
 
 func (r *Router) searchToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr *obs.Trace) (core.TokenResult, error) {
 	endCollect := tr.Span("router.collect")
-	er, touched, err := r.collectToken(tpk, tok, tr)
+	touched := make(map[string]bool)
+	er, err := core.Collect(tpk, tok, DefaultBatch, func(labels []store.Label, payloads []store.Payload, found []bool) error {
+		return r.fetchLabels(labels, payloads, found, touched, tr)
+	})
 	if err != nil {
 		return core.TokenResult{}, err
 	}
@@ -546,63 +520,6 @@ func (r *Router) searchToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr *
 	}
 	endWitness()
 	return core.TokenResult{Token: tok, ER: er, Witness: vo}, nil
-}
-
-// collectToken reproduces core.Cloud.collectResults over the shard fleet:
-// same label/mask derivations, same walk order, same first-miss epoch
-// termination — so the unmasked result list is byte-identical to what a
-// single cloud holding the union index would return. It reports the set of
-// shards contacted.
-func (r *Router) collectToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr *obs.Trace) ([][]byte, map[string]bool, error) {
-	lk, err := prf.KeyFromBytes(tok.G1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("token G1: %w", err)
-	}
-	dk, err := prf.KeyFromBytes(tok.G2)
-	if err != nil {
-		return nil, nil, fmt.Errorf("token G2: %w", err)
-	}
-	labelEval := lk.NewEvaluator()
-	maskEval := dk.NewEvaluator()
-	touched := make(map[string]bool)
-	var er [][]byte
-	t := tok.Trapdoor
-	labels := make([]store.Label, r.batch)
-	for i := tok.Epoch; i >= 0; i-- {
-	epoch:
-		for base := uint64(0); ; base += uint64(r.batch) {
-			for k := range labels {
-				l, err := store.LabelFromBytes(labelEval.EvalWithCounter(t, base+uint64(k)))
-				if err != nil {
-					return nil, nil, err
-				}
-				labels[k] = l
-			}
-			payloads, found, err := r.fetchLabels(labels, touched, tr)
-			if err != nil {
-				return nil, nil, err
-			}
-			for k := range labels {
-				if !found[k] {
-					break epoch // in-epoch walk ends at the first missing counter
-				}
-				mask := maskEval.EvalWithCounter(t, base+uint64(k))
-				d := payloads[k]
-				res := make([]byte, store.EntrySize)
-				for b := range res {
-					res[b] = mask[b] ^ d[b]
-				}
-				er = append(er, res)
-			}
-		}
-		if i > 0 {
-			t, err = tpk.Forward(t)
-			if err != nil {
-				return nil, nil, fmt.Errorf("walk trapdoor chain: %w", err)
-			}
-		}
-	}
-	return er, touched, nil
 }
 
 // shardBatch is the slice of one fetch round addressed to one shard.
@@ -621,12 +538,14 @@ func addTo(m map[string]*shardBatch, id string, k int, l store.Label) {
 	b.idxs = append(b.idxs, k)
 }
 
-// fetchLabels resolves one batch of labels across the owning shards,
-// double-reading any label inside an active move window. Results are
-// index-aligned with labels; a label found on both sides of a move window
-// resolves to the primary owner's copy (payloads are immutable, so either
-// copy is the same bytes — the preference only pins determinism).
-func (r *Router) fetchLabels(labels []store.Label, touched map[string]bool, tr *obs.Trace) ([][]byte, []bool, error) {
+// fetchLabels is the router's lookup for core.Collect: it resolves one
+// batch of labels across the owning shards into payloads and found,
+// double-reading any label inside an active move window, and adds every
+// shard it contacted to touched. A label found on both sides of a move
+// window resolves to the primary owner's copy (payloads are immutable, so
+// either copy is the same bytes — the preference only pins determinism). A
+// found payload that is not store.EntrySize bytes fails the fetch.
+func (r *Router) fetchLabels(labels []store.Label, payloads []store.Payload, found []bool, touched map[string]bool, tr *obs.Trace) error {
 	r.moveGate.RLock()
 	defer r.moveGate.RUnlock()
 	table, window := r.view()
@@ -693,11 +612,12 @@ func (r *Router) fetchLabels(labels []store.Label, touched map[string]bool, tr *
 	for j := range jobs {
 		touched[jobs[j].id] = true
 		if errs[j] != nil {
-			return nil, nil, errs[j]
+			return errs[j]
 		}
 	}
-	payloads := make([][]byte, len(labels))
-	found := make([]bool, len(labels))
+	for k := range found {
+		found[k] = false
+	}
 	// Secondary (move-window) replies first, primary second: the primary
 	// owner's copy wins when both sides hold the label.
 	for pass := 0; pass < 2; pass++ {
@@ -707,14 +627,19 @@ func (r *Router) fetchLabels(labels []store.Label, touched map[string]bool, tr *
 				continue
 			}
 			for bi, k := range jb.batch.idxs {
-				if replies[j].Found[bi] {
-					found[k] = true
-					payloads[k] = replies[j].Payloads[bi]
+				if !replies[j].Found[bi] {
+					continue
 				}
+				d, err := store.PayloadFromBytes(replies[j].Payloads[bi])
+				if err != nil {
+					return fmt.Errorf("shard: mget reply from %s: %w", jb.id, err)
+				}
+				found[k] = true
+				payloads[k] = d
 			}
 		}
 	}
-	return payloads, found, nil
+	return nil
 }
 
 func sortedKeys(m map[string]*shardBatch) []string {
@@ -821,97 +746,15 @@ func (r *Router) ShardStats() ([]ShardStatus, error) {
 	return out, nil
 }
 
-// TableInfo is the router.table reply: the live table plus how many past
-// epochs the router retains.
+// TableInfo is the router.table reply: the live table.
 type TableInfo struct {
-	Table          *Table `json:"table"`
-	RetainedEpochs int    `json:"retainedEpochs"`
+	Table *Table `json:"table"`
 }
 
 func (r *Router) handleTable(json.RawMessage) (any, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return &TableInfo{Table: r.table.Clone(), RetainedEpochs: len(r.history)}, nil
+	return &TableInfo{Table: r.Table()}, nil
 }
 
 func (r *Router) handleShards(json.RawMessage) (any, error) {
 	return r.ShardStats()
-}
-
-// effectiveWorkers resolves a worker count: <=0 means one per core.
-func effectiveWorkers(configured int) int {
-	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
-}
-
-// forEachIndexed mirrors core's parallel-for: bounded workers, results
-// written by index, and the returned error is the lowest failing index's —
-// so scatter-gather error selection matches a single cloud exactly.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next, minFail int64
-	minFail = int64(n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		i := next
-		next++
-		return int(i)
-	}
-	fail := func(i int) {
-		mu.Lock()
-		if int64(i) < minFail {
-			minFail = int64(i)
-		}
-		mu.Unlock()
-	}
-	skip := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return int64(i) > minFail
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i >= n {
-					return
-				}
-				if skip(i) {
-					continue
-				}
-				if err := fn(i); err != nil {
-					errs[i] = err
-					fail(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

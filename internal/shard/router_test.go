@@ -133,7 +133,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFixture(t, n, 50, int64(100+n), Options{Workers: 4})
+			f := newFixture(t, n, 50, int64(100+n), Options{})
 			rng := rand.New(rand.NewSource(int64(n)))
 			queries := []core.Query{
 				core.Less(1),
@@ -156,7 +156,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // TestRoutedUpdateEquivalence inserts through the router and re-checks
 // equivalence: the delta must split by address while the ADS replicates.
 func TestRoutedUpdateEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 40, 9, Options{Workers: 4})
+	f := newFixture(t, 3, 40, 9, Options{})
 	for i := 0; i < 3; i++ {
 		up, err := f.owner.Insert([]core.Record{core.NewRecord(uint64(5000+i), uint64(40+i))})
 		if err != nil {
@@ -179,7 +179,7 @@ func TestRoutedUpdateEquivalence(t *testing.T) {
 // re-checks byte-identical search before, during is covered by the race
 // test, and after the move.
 func TestRebalanceEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 60, 17, Options{Workers: 4})
+	f := newFixture(t, 3, 60, 17, Options{})
 	f.checkQuery(t, core.Less(200))
 	table := f.router.Table()
 	src := table.Shards()[0]
@@ -207,7 +207,7 @@ func TestRebalanceEquivalence(t *testing.T) {
 // while ranges move between shards; zero searches may fail and every
 // response must verify. Run with -race.
 func TestSearchDuringRebalance(t *testing.T) {
-	f := newFixture(t, 3, 60, 23, Options{Workers: 4})
+	f := newFixture(t, 3, 60, 23, Options{})
 	req, err := f.user.Token(core.Less(200))
 	if err != nil {
 		t.Fatalf("Token: %v", err)
@@ -287,7 +287,7 @@ func FuzzScatterGatherEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shardSel, nRec uint8, seed int64, val, op uint8) {
 		nShards := shardCounts[int(shardSel)%len(shardCounts)]
 		n := 5 + int(nRec)%40
-		fx := newFixture(t, nShards, n, seed, Options{Workers: 2, Batch: 4})
+		fx := newFixture(t, nShards, n, seed, Options{})
 		var q core.Query
 		switch op % 3 {
 		case 0:

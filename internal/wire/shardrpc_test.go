@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"slicer/internal/core"
@@ -276,5 +277,61 @@ func TestImportConflictRejected(t *testing.T) {
 	wrong[0] = 0xff
 	if err := f.src.Import([][]byte{l[:]}, [][]byte{wrong[:]}); err == nil {
 		t.Fatal("conflicting import succeeded")
+	}
+}
+
+// TestCloudInitWithRemovedParams ships a cloud.init message whose Params
+// still carry SearchWorkers and FixedBaseTeeth, as an owner built before
+// those fields were removed sends it: the cloud initializes and answers
+// exactly as one initialized from the current encoding.
+func TestCloudInitWithRemovedParams(t *testing.T) {
+	f := newShardFixture(t)
+	raw, err := json.Marshal(EncodeCloudInit(f.owner.CloudInit(f.built.Index), true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &msg); err != nil {
+		t.Fatal(err)
+	}
+	params := bytes.TrimSuffix(msg["params"], []byte("}"))
+	msg["params"] = append(params, []byte(`,"SearchWorkers":2,"FixedBaseTeeth":6}`)...)
+
+	srv := NewCloudServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli, err := DialCloud(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	if err := cli.Client().Call(MethodCloudInit, msg, nil); err != nil {
+		t.Fatalf("cloud.init with legacy params: %v", err)
+	}
+	user, err := core.NewUser(f.owner.ClientState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []core.Query{core.Less(128), core.Equal(f.db[0].Attrs[0].Value)} {
+		req, err := user.Token(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cli.Search(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.src.Search(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("%v: legacy-initialized cloud answers differently", q)
+		}
 	}
 }
