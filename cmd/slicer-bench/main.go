@@ -115,7 +115,7 @@ func run() error {
 		render(table)
 		var delta map[string]float64
 		if reg != nil {
-			delta = obs.Delta(before, reg.Snapshot())
+			delta = reg.Delta(before)
 			blob, err := json.Marshal(map[string]any{"experiment": e.ID, "delta": delta})
 			if err != nil {
 				return err

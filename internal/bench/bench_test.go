@@ -146,7 +146,7 @@ func TestAblationShardsReportsShardMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mgets float64
-	for k, v := range obs.Delta(before, r.Registry.Snapshot()) {
+	for k, v := range r.Registry.Delta(before) {
 		if strings.HasPrefix(k, "slicer_shard_mget_total") {
 			mgets += v
 		}

@@ -179,13 +179,12 @@ func (c *Cloud) Ac() *big.Int {
 // takes the cloud's write lock, so in-flight searches drain first and later
 // ones observe the full delta.
 //
-// Cached-witness maintenance is lazy by default: the batch's prime product
-// is appended to a journal and each witness folds its pending exponents only
-// when next served, so the write-lock window costs O(|X⁺|) regardless of
-// cache size. Once the pending set passes Params.RebuildThreshold the cache
-// is rebuilt wholesale with RootFactor. Params.EagerWitnessRefresh restores
-// the eager strategy (every witness re-exponentiated inside the update);
-// served witnesses are byte-identical either way.
+// Cached-witness maintenance is lazy: the batch's prime product is appended
+// to a journal and each witness folds its pending exponents only when next
+// served, so the write-lock window costs O(|X⁺|) regardless of cache size.
+// Once the pending set passes Params.RebuildThreshold the cache is rebuilt
+// wholesale with RootFactor. Served witnesses are byte-identical to a cache
+// rebuilt from scratch over the current primes.
 func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,8 +198,6 @@ func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	switch {
 	case c.mode != WitnessCached || added == 0:
 		c.addPrimes(out.Primes)
-	case c.params.EagerWitnessRefresh:
-		c.applyEager(out.Primes, total)
 	default:
 		c.applyLazy(out.Primes, total)
 	}
@@ -210,32 +207,6 @@ func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 		c.resetTree()
 	}
 	return nil
-}
-
-// applyEager is the write-lock-time maintenance strategy: refresh every
-// cached witness now (one modexp each, exponent = Π x⁺), or rebuild with
-// RootFactor when the batch is large relative to log2(N).
-func (c *Cloud) applyEager(newPrimes []*big.Int, total int) {
-	if len(newPrimes) > log2ceil(total)+1 {
-		c.addPrimes(newPrimes)
-		c.rebuildWitnesses()
-		return
-	}
-	prod := accumulator.Product(newPrimes)
-	for _, e := range c.witnesses {
-		e.w = new(big.Int).Exp(e.w, prod, c.accPub.N)
-	}
-	// Witness for new prime x_i: old Ac raised to Π_{k≠i} x⁺_k. The exponent
-	// is the batch product divided exactly by x_i — one modexp per new prime
-	// instead of an O(|X⁺|²) pairwise loop.
-	start := len(c.primes)
-	c.addPrimes(newPrimes)
-	exp := new(big.Int)
-	for i := start; i < len(c.primes); i++ {
-		exp.Div(prod, c.primes[i])
-		w := new(big.Int).Exp(c.ac, exp, c.accPub.N)
-		c.witnesses[string(c.primes[i].Bytes())] = &witEntry{w: w}
-	}
 }
 
 // applyLazy journals the batch instead of touching existing witnesses: each
@@ -314,14 +285,6 @@ func (c *Cloud) resetTree() {
 		}
 	}
 	c.wtree = c.accPub.NewWitnessTree(c.primes, c.fbG)
-}
-
-func log2ceil(n int) int {
-	bits := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	return bits
 }
 
 func (c *Cloud) addPrimes(primes []*big.Int) {

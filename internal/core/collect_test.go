@@ -170,6 +170,20 @@ func TestCollectLookupError(t *testing.T) {
 // Params still carried SearchWorkers and FixedBaseTeeth: both load, and the
 // restored parties search exactly as the originals do.
 func TestStateWithRemovedParamsLoads(t *testing.T) {
+	checkLegacyStateLoads(t, map[string]any{"SearchWorkers": 2, "FixedBaseTeeth": 6})
+}
+
+// TestStateWithEagerWitnessRefreshLoads loads owner and cloud state written
+// while Params still carried EagerWitnessRefresh, set: both load, and the
+// restored parties search exactly as the originals do.
+func TestStateWithEagerWitnessRefreshLoads(t *testing.T) {
+	checkLegacyStateLoads(t, map[string]any{"EagerWitnessRefresh": true})
+}
+
+// checkLegacyStateLoads adds removed Params fields to serialized owner and
+// cloud state and requires both to load and search unchanged.
+func checkLegacyStateLoads(t *testing.T, legacy map[string]any) {
+	t.Helper()
 	db := []Record{NewRecord(1, 5), NewRecord(2, 9), NewRecord(3, 5), NewRecord(4, 200)}
 	d := deploy(t, 8, db, WitnessCached)
 	ownerBlob, err := d.owner.Marshal()
@@ -180,11 +194,11 @@ func TestStateWithRemovedParamsLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := UnmarshalOwner(withLegacyParams(t, ownerBlob))
+	owner, err := UnmarshalOwner(withLegacyParams(t, ownerBlob, legacy))
 	if err != nil {
 		t.Fatalf("UnmarshalOwner: %v", err)
 	}
-	cloud, err := UnmarshalCloud(withLegacyParams(t, cloudBlob))
+	cloud, err := UnmarshalCloud(withLegacyParams(t, cloudBlob, legacy))
 	if err != nil {
 		t.Fatalf("UnmarshalCloud: %v", err)
 	}
@@ -219,9 +233,9 @@ func TestStateWithRemovedParamsLoads(t *testing.T) {
 	}
 }
 
-// withLegacyParams adds the removed SearchWorkers/FixedBaseTeeth fields to
-// the "params" object of a serialized state.
-func withLegacyParams(t *testing.T, blob []byte) []byte {
+// withLegacyParams adds removed fields to the "params" object of a
+// serialized state.
+func withLegacyParams(t *testing.T, blob []byte, legacy map[string]any) []byte {
 	t.Helper()
 	var st map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &st); err != nil {
@@ -231,8 +245,9 @@ func withLegacyParams(t *testing.T, blob []byte) []byte {
 	if err := json.Unmarshal(st["params"], &params); err != nil {
 		t.Fatal(err)
 	}
-	params["SearchWorkers"] = 2
-	params["FixedBaseTeeth"] = 6
+	for k, v := range legacy {
+		params[k] = v
+	}
 	raw, err := json.Marshal(params)
 	if err != nil {
 		t.Fatal(err)

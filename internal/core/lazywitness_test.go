@@ -19,27 +19,52 @@ func lazyDB(n, bits int, seed int64) []Record {
 	return db
 }
 
-// lazyEagerPair builds two cached-mode clouds over the same owner state,
-// one with lazy maintenance (the default) and one eager.
-func lazyEagerPair(t testing.TB, owner *Owner, out *UpdateOutput) (lazy, eager *Cloud) {
+// lazyAndOnDemand builds two clouds over the same owner state: the cached
+// cloud under test, whose witness maintenance is lazy, and the on-demand
+// cloud that computes every served witness from the current primes — the
+// ground truth for served responses.
+func lazyAndOnDemand(t testing.TB, owner *Owner, out *UpdateOutput) (lazy, onDemand *Cloud) {
 	t.Helper()
-	stLazy := owner.CloudInit(out.Index)
-	lazy, err := NewCloud(stLazy, WitnessCached)
+	lazy, err := NewCloud(owner.CloudInit(out.Index), WitnessCached)
 	if err != nil {
-		t.Fatalf("NewCloud(lazy): %v", err)
+		t.Fatalf("NewCloud(cached): %v", err)
 	}
-	stEager := owner.CloudInit(out.Index)
-	stEager.Params.EagerWitnessRefresh = true
-	eager, err = NewCloud(stEager, WitnessCached)
+	onDemand, err = NewCloud(owner.CloudInit(out.Index), WitnessOnDemand)
 	if err != nil {
-		t.Fatalf("NewCloud(eager): %v", err)
+		t.Fatalf("NewCloud(on-demand): %v", err)
 	}
-	return lazy, eager
+	return lazy, onDemand
+}
+
+// rebuiltState is the ground truth for a persisted witness cache: the
+// marshaled state of a cached cloud built from scratch over the owner's
+// current primes, whose witnesses come from one RootFactor pass.
+func rebuiltState(t testing.TB, owner *Owner, out *UpdateOutput) map[string]json.RawMessage {
+	t.Helper()
+	fresh, err := NewCloud(owner.CloudInit(out.Index), WitnessCached)
+	if err != nil {
+		t.Fatalf("NewCloud(rebuilt): %v", err)
+	}
+	return marshaledFields(t, fresh)
+}
+
+func marshaledFields(t testing.TB, c *Cloud) map[string]json.RawMessage {
+	t.Helper()
+	raw, err := c.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	return fields
 }
 
 // TestLazyRefreshMatchesEager interleaves inserts and searches and requires
-// the lazy cloud's responses and persisted state to be byte-identical to
-// the eager cloud's at every step.
+// the lazy cloud's responses to be byte-identical to an on-demand cloud's at
+// every step, and its persisted state to a cache rebuilt from scratch — the
+// witnesses an eager refresh would hold.
 func TestLazyRefreshMatchesEager(t *testing.T) {
 	const bits = 8
 	db := lazyDB(40, bits, 71)
@@ -51,7 +76,7 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, eager := lazyEagerPair(t, owner, out)
+	lazy, onDemand := lazyAndOnDemand(t, owner, out)
 	user, err := NewUser(owner.ClientState())
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +96,8 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 		if err := lazy.ApplyUpdate(upd); err != nil {
 			t.Fatalf("step %d: lazy ApplyUpdate: %v", step, err)
 		}
-		if err := eager.ApplyUpdate(upd); err != nil {
-			t.Fatalf("step %d: eager ApplyUpdate: %v", step, err)
+		if err := onDemand.ApplyUpdate(upd); err != nil {
+			t.Fatalf("step %d: on-demand ApplyUpdate: %v", step, err)
 		}
 
 		for _, q := range []Query{Equal(uint64(step * 13 % (1 << bits))), Greater(1 << (bits - 1)), Less(20)} {
@@ -84,14 +109,14 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: lazy Search: %v", step, err)
 			}
-			respE, err := eager.Search(req)
+			respE, err := onDemand.Search(req)
 			if err != nil {
-				t.Fatalf("step %d: eager Search: %v", step, err)
+				t.Fatalf("step %d: on-demand Search: %v", step, err)
 			}
 			rawL, _ := json.Marshal(respL)
 			rawE, _ := json.Marshal(respE)
 			if !bytes.Equal(rawL, rawE) {
-				t.Fatalf("step %d query %v: lazy response differs from eager", step, q)
+				t.Fatalf("step %d query %v: lazy response differs from on-demand", step, q)
 			}
 			if err := VerifyResponse(owner.AccumulatorPub(), owner.Ac(), req, respL); err != nil {
 				t.Fatalf("step %d: lazy response fails verification: %v", step, err)
@@ -99,28 +124,14 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 		}
 	}
 
-	// Persisted state must fold all pending batches and match exactly
-	// (modulo the params field that names the strategy).
-	mL, err := lazy.Marshal()
-	if err != nil {
-		t.Fatalf("lazy Marshal: %v", err)
-	}
-	mE, err := eager.Marshal()
-	if err != nil {
-		t.Fatalf("eager Marshal: %v", err)
-	}
-	var sL, sE map[string]json.RawMessage
-	if err := json.Unmarshal(mL, &sL); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(mE, &sE); err != nil {
-		t.Fatal(err)
-	}
-	// Index bytes are excluded: store.Index marshals in map order, which
-	// differs between instances even for identical contents.
+	// Persisted state must fold all pending batches and match a cache
+	// rebuilt over the owner's current primes exactly. Index bytes are
+	// excluded: store.Index marshals in map order, which differs between
+	// instances even for identical contents.
+	sL, sE := marshaledFields(t, lazy), rebuiltState(t, owner, out)
 	for _, k := range []string{"witnesses", "primes", "ac"} {
 		if !bytes.Equal(sL[k], sE[k]) {
-			t.Fatalf("marshaled %q differs between lazy and eager", k)
+			t.Fatalf("marshaled %q differs between lazy and rebuilt", k)
 		}
 	}
 }
@@ -245,8 +256,9 @@ func TestLazyConcurrentServes(t *testing.T) {
 }
 
 // FuzzWitnessRefreshLazyVsEager drives a randomized insert/search schedule
-// through a lazy and an eager cloud and requires byte-identical served
-// witnesses and persisted caches.
+// through the lazy cached cloud and requires its served responses to be
+// byte-identical to an on-demand cloud's and its persisted cache to one
+// rebuilt from scratch — what an eager refresh would compute.
 func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 	f.Add([]byte{3, 1, 9, 250, 0}, uint8(2))
 	f.Add([]byte{}, uint8(0))
@@ -265,7 +277,7 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, eager := lazyEagerPair(t, owner, out)
+		lazy, onDemand := lazyAndOnDemand(t, owner, out)
 		user, err := NewUser(owner.ClientState())
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +298,7 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 				if err := lazy.ApplyUpdate(upd); err != nil {
 					t.Fatal(err)
 				}
-				if err := eager.ApplyUpdate(upd); err != nil {
+				if err := onDemand.ApplyUpdate(upd); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -299,33 +311,19 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: lazy: %v", step, err)
 			}
-			respE, err := eager.Search(req)
+			respE, err := onDemand.Search(req)
 			if err != nil {
-				t.Fatalf("step %d: eager: %v", step, err)
+				t.Fatalf("step %d: on-demand: %v", step, err)
 			}
 			rawL, _ := json.Marshal(respL)
 			rawE, _ := json.Marshal(respE)
 			if !bytes.Equal(rawL, rawE) {
-				t.Fatalf("step %d: lazy and eager responses differ", step)
+				t.Fatalf("step %d: lazy and on-demand responses differ", step)
 			}
 		}
-		mL, err := lazy.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mE, err := eager.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sL, sE map[string]json.RawMessage
-		if err := json.Unmarshal(mL, &sL); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(mE, &sE); err != nil {
-			t.Fatal(err)
-		}
+		sL, sE := marshaledFields(t, lazy), rebuiltState(t, owner, out)
 		if !bytes.Equal(sL["witnesses"], sE["witnesses"]) {
-			t.Fatal("persisted witness caches differ between lazy and eager")
+			t.Fatal("persisted witness cache differs from one rebuilt from scratch")
 		}
 	})
 }

@@ -120,14 +120,6 @@ type Params struct {
 	// no client-side intersection, at the cost of b extra index entries per
 	// record per attribute. Extension beyond the paper; see DESIGN.md.
 	PrefixIndex bool
-	// EagerWitnessRefresh switches the cached-witness maintenance strategy
-	// on ApplyUpdate back to the eager one: every cached witness is
-	// re-exponentiated while the update holds the write lock (O(|X|) modexps
-	// per update). The default (false) journals the update batch and folds
-	// pending exponents into a witness only when it is next served, so
-	// updates cost O(|X⁺|) and searches pay one extra modexp per pending
-	// batch. Served witnesses are byte-identical under both strategies.
-	EagerWitnessRefresh bool
 	// RebuildThreshold caps the lazy journal: once the pending prime count
 	// would exceed it, ApplyUpdate discards the journal and rebuilds every
 	// witness with RootFactor instead. 0 picks max(64, |X|/4).

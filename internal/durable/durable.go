@@ -11,8 +11,12 @@
 // (unsynced writes are lost on MemFS.Crash) and injects faults
 // (fail-after-N-ops, short writes).
 //
-// The package is stdlib-only and knows nothing about what it persists;
-// internal/wire layers cloud-RPC and chain-block journals on top of it.
+// Journal ties it together for a server: OpenJournal recovers a data
+// directory through the server's restore and replay functions, and Commit
+// journals each state change before it is applied and acknowledged. The
+// package knows nothing about what it persists; the cloud (RPC records),
+// the chain (sealed blocks) and the router (routing tables and the
+// trapdoor key) each journal their own records through one Journal.
 package durable
 
 import (

@@ -44,14 +44,8 @@ type AdminOptions struct {
 	Audit http.Handler
 }
 
-// StartAdmin binds addr (":0" picks a free port) and serves the admin
-// endpoints for reg in a background goroutine. traces may be nil (the
-// /debug/traces endpoint then reports an empty store); logger may be nil.
-func StartAdmin(addr string, reg *Registry, traces *TraceStore, logger *slog.Logger) (*Admin, error) {
-	return StartAdminOpts(addr, AdminOptions{Registry: reg, Traces: traces, Logger: logger})
-}
-
-// StartAdminOpts is StartAdmin plus the SLO and profiler surfaces.
+// StartAdminOpts binds addr (":0" picks a free port) and serves the admin
+// endpoints for opts.Registry in a background goroutine.
 func StartAdminOpts(addr string, opts AdminOptions) (*Admin, error) {
 	reg, traces, logger := opts.Registry, opts.Traces, opts.Logger
 	if logger == nil {

@@ -499,31 +499,45 @@ func (r *Registry) Snapshot() map[string]float64 {
 		return nil
 	}
 	out := make(map[string]float64)
-	for _, m := range r.sortedMetrics() {
-		switch m.kind {
-		case kindCounter:
-			out[m.name] = float64(m.counter.Value())
-		case kindGauge:
-			out[m.name] = m.gauge.Value()
-		case kindGaugeFunc:
-			out[m.name] = m.fn()
-		case kindHistogram:
-			out[m.name+"/count"] = float64(m.hist.Count())
-			out[m.name+"/sum"] = m.hist.Sum()
-		}
-	}
+	r.flatten(func(key string, v float64, _ bool) { out[key] = v })
 	return out
 }
 
-// Delta returns after-minus-before for every key that changed (keys absent
-// from before count from zero). Used to attribute registry movement to one
-// experiment.
-func Delta(before, after map[string]float64) map[string]float64 {
+// Delta attributes registry movement since before (a Snapshot) to one
+// experiment: counters and histogram counts and sums report after minus
+// before, gauges their current value — a gauge that fell is a level, not a
+// negative delta. Keys whose value is zero are left out; keys absent from
+// before count from zero.
+func (r *Registry) Delta(before map[string]float64) map[string]float64 {
+	if r == nil {
+		return nil
+	}
 	out := make(map[string]float64)
-	for k, v := range after {
-		if d := v - before[k]; d != 0 {
-			out[k] = d
+	r.flatten(func(key string, v float64, gauge bool) {
+		if !gauge {
+			v -= before[key]
+		}
+		if v != 0 {
+			out[key] = v
+		}
+	})
+	return out
+}
+
+// flatten visits every flattened series of the registry with its value and
+// whether it is a gauge.
+func (r *Registry) flatten(visit func(key string, v float64, gauge bool)) {
+	for _, m := range r.sortedMetrics() {
+		switch m.kind {
+		case kindCounter:
+			visit(m.name, float64(m.counter.Value()), false)
+		case kindGauge:
+			visit(m.name, m.gauge.Value(), true)
+		case kindGaugeFunc:
+			visit(m.name, m.fn(), true)
+		case kindHistogram:
+			visit(m.name+"/count", float64(m.hist.Count()), false)
+			visit(m.name+"/sum", m.hist.Sum(), false)
 		}
 	}
-	return out
 }

@@ -192,15 +192,70 @@ func TestSnapshotDelta(t *testing.T) {
 	before := r.Snapshot()
 	c.Add(3)
 	h.Observe(0.75)
-	d := Delta(before, r.Snapshot())
+	d := r.Delta(before)
 	if d["a_total"] != 3 {
 		t.Errorf("delta a_total = %v, want 3", d["a_total"])
 	}
 	if d["b_seconds/count"] != 1 || math.Abs(d["b_seconds/sum"]-0.75) > 1e-12 {
 		t.Errorf("histogram delta = %v", d)
 	}
-	if len(Delta(r.Snapshot(), r.Snapshot())) != 0 {
+	if len(r.Delta(r.Snapshot())) != 0 {
 		t.Error("idempotent snapshot produced a non-empty delta")
+	}
+}
+
+// TestDeltaReportsGaugeLevels diffs counters but reports gauges at their
+// current value: a gauge set to 5 and then 3 reads 3, not -2.
+func TestDeltaReportsGaugeLevels(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("level", "")
+	level := 5.0
+	r.GaugeFunc("level_fn", "", func() float64 { return level })
+	c := r.Counter("c_total", "")
+	g.Set(5)
+	c.Add(4)
+	before := r.Snapshot()
+	g.Set(3)
+	level = 3
+	c.Add(1)
+	d := r.Delta(before)
+	if d["level"] != 3 || d["level_fn"] != 3 {
+		t.Errorf("gauge deltas = %v / %v, want their after-value 3", d["level"], d["level_fn"])
+	}
+	if d["c_total"] != 1 {
+		t.Errorf("counter delta = %v, want 1", d["c_total"])
+	}
+}
+
+// TestDeltaWindowQuantileNeverNegative lets a windowed histogram's live
+// quantile fall between snapshots: its gauge reports the new level, never
+// a negative difference.
+func TestDeltaWindowQuantileNeverNegative(t *testing.T) {
+	now := time.Unix(1000, 0)
+	r := NewRegistry()
+	h := r.WindowedHistogramOpts("lat_seconds", "", DefLatencyBuckets,
+		WindowOptions{SubWindows: 2, Width: time.Second, Clock: func() time.Time { return now }})
+	for i := 0; i < 10; i++ {
+		h.Observe(2)
+	}
+	before := r.Snapshot()
+	now = now.Add(10 * time.Second) // the slow observations age out
+	h.Observe(0.001)
+	d := r.Delta(before)
+	p50 := `lat_seconds_window{quantile="p50"}`
+	if before[p50] <= d[p50] {
+		t.Fatalf("window p50 did not fall (before %v, now %v); the test needs it to", before[p50], d[p50])
+	}
+	for k, v := range d {
+		if strings.Contains(k, "_window{") && v < 0 {
+			t.Errorf("%s delta = %v, a quantile level cannot be negative", k, v)
+		}
+	}
+	if d[p50] != r.Snapshot()[p50] {
+		t.Errorf("window p50 delta = %v, want its current value %v", d[p50], r.Snapshot()[p50])
+	}
+	if d["lat_seconds/count"] != 1 {
+		t.Errorf("histogram count delta = %v, want 1", d["lat_seconds/count"])
 	}
 }
 

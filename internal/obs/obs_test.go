@@ -113,9 +113,9 @@ func TestAdminEndpoints(t *testing.T) {
 	endSpan := demo.Span("phase-a")
 	endSpan()
 	store.Record(demo)
-	a, err := StartAdmin("127.0.0.1:0", reg, store, Nop())
+	a, err := StartAdminOpts("127.0.0.1:0", AdminOptions{Registry: reg, Traces: store, Logger: Nop()})
 	if err != nil {
-		t.Fatalf("StartAdmin: %v", err)
+		t.Fatalf("StartAdminOpts: %v", err)
 	}
 	defer a.Close()
 	base := "http://" + a.Addr()

@@ -155,11 +155,8 @@ func (r *Router) Rebalance(lo, hi uint64, dst string, tr *obs.Trace) (*MoveStats
 		if err == nil {
 			// Journal-then-apply: an acknowledged epoch survives a router
 			// restart.
-			if err = r.journal(journalRec{Table: next}); err == nil {
-				r.mu.Lock()
-				r.pushTable(next)
+			if err = r.commit(journalRec{Table: next}); err == nil {
 				stats.Epoch = next.Epoch
-				r.mu.Unlock()
 			}
 		}
 	}

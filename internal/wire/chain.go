@@ -52,12 +52,9 @@ type CallResult struct {
 // in-process network behind a single server, MethodChainStep seals on the
 // scheduled proposer and propagates to all nodes.
 type ChainServer struct {
+	*host
 	mu      sync.Mutex
 	network *chain.Network
-	jour    *journal      // nil until EnableDurability
-	aud     *audit.Ledger // nil until EnableAudit
-	srv     *Server
-	started time.Time
 
 	// Chain-side settlement instrumentation (nil when not observed).
 	submitDur *obs.Histogram // tx admission into the pool
@@ -71,8 +68,7 @@ type ChainServer struct {
 // NewChainServer wraps a network. A bounded trace store is attached by
 // default so propagated traces are inspectable at /debug/traces.
 func NewChainServer(network *chain.Network) *ChainServer {
-	cs := &ChainServer{network: network, srv: NewServer(), started: time.Now()}
-	cs.srv.SetTraceStore(obs.NewTraceStore(0))
+	cs := &ChainServer{host: newHost(), network: network}
 	cs.srv.HandleTraced(MethodChainSubmit, cs.handleSubmit)
 	cs.srv.HandleTraced(MethodChainStep, cs.handleStep)
 	cs.srv.Handle(MethodChainReceipt, cs.handleReceipt)
@@ -82,9 +78,6 @@ func NewChainServer(network *chain.Network) *ChainServer {
 	cs.srv.Handle(MethodChainHeight, cs.handleHeight)
 	return cs
 }
-
-// Traces exposes the server's trace store (for /debug/traces and tuning).
-func (cs *ChainServer) Traces() *obs.TraceStore { return cs.srv.TraceStore() }
 
 // SetObservability attaches a metrics registry and/or structured logger:
 // the RPC layer gains per-method series (server="chain") and sealing
@@ -116,45 +109,6 @@ func (cs *ChainServer) SetObservability(reg *obs.Registry, logger *slog.Logger) 
 	cs.mu.Unlock()
 }
 
-// EnableAudit journals every sealed block — receipts, reverted count, gas —
-// into led as KindSeal records. The chain cannot see contract semantics
-// (which receipts settle a search versus refund one: that attribution is the
-// client's, who holds the request), so its ledger anchors the settlement
-// history a client-side ledger's settle/refund records are checked against.
-func (cs *ChainServer) EnableAudit(led *audit.Ledger) {
-	cs.mu.Lock()
-	cs.aud = led
-	cs.mu.Unlock()
-}
-
-// Audit returns the attached audit ledger (nil when auditing is off).
-func (cs *ChainServer) Audit() *audit.Ledger {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.aud
-}
-
-// Server exposes the underlying RPC server for transport-level tuning.
-func (cs *ChainServer) Server() *Server { return cs.srv }
-
-// Listen binds the server and returns its address.
-func (cs *ChainServer) Listen(addr string) (string, error) { return cs.srv.Listen(addr) }
-
-// Close shuts the server down, syncing and closing the journal if
-// durability is enabled.
-func (cs *ChainServer) Close() error {
-	err := cs.srv.Close()
-	cs.mu.Lock()
-	jour := cs.jour
-	cs.mu.Unlock()
-	if jour != nil {
-		if jerr := jour.close(); err == nil {
-			err = jerr
-		}
-	}
-	return err
-}
-
 // handleSubmit records the pool-admission phase into the propagated trace
 // (nil for context-free callers).
 func (cs *ChainServer) handleSubmit(params json.RawMessage, tr *obs.Trace) (any, error) {
@@ -184,7 +138,7 @@ func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error)
 		return nil, err
 	}
 	end()
-	if cs.jour != nil {
+	if jour := cs.journal(); jour != nil {
 		// Journal the sealed block before acknowledging the step: a
 		// restart replays it through full validation back to the same
 		// state and receipt roots. On journal failure the block exists
@@ -194,7 +148,7 @@ func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error)
 		if jerr != nil {
 			return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, jerr)
 		}
-		if jerr := cs.jour.commit(rec, func() error { return nil }, cs.chainSnapshotStateLocked); jerr != nil {
+		if jerr := jour.Commit(rec, func() error { return nil }, cs.chainSnapshotStateLocked); jerr != nil {
 			return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, jerr)
 		}
 	}
@@ -208,10 +162,14 @@ func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error)
 			reverted++
 		}
 	}
-	if cs.aud != nil && len(block.Receipts) > 0 {
+	if led := cs.Audit(); led != nil && len(block.Receipts) > 0 {
 		// Empty blocks are heartbeat noise; sealed transactions are the
-		// settlement history worth anchoring.
-		cs.aud.Log(audit.Event{
+		// settlement history worth anchoring. The chain cannot see contract
+		// semantics (which receipts settle a search and which refund one is
+		// the client's attribution), so its KindSeal records anchor the
+		// history a client ledger's settle/refund records are checked
+		// against.
+		led.Log(audit.Event{
 			Kind: audit.KindSeal,
 			Detail: fmt.Sprintf("block %d: %d txs, %d reverted",
 				block.Header.Number, len(block.Receipts), reverted),

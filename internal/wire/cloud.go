@@ -154,14 +154,11 @@ func decodePrimes(raw [][]byte) []*big.Int {
 // only the initialization of the cloud pointer — search traffic from many
 // clients proceeds in parallel and is never serialized by the RPC layer.
 type CloudServer struct {
-	mu      sync.RWMutex // guards the cloud pointer, not the cloud's state
-	cloud   *core.Cloud
-	jour    *journal      // nil until EnableDurability
-	aud     *audit.Ledger // nil until EnableAudit
-	srv     *Server
-	reg     *obs.Registry // nil until SetObservability; forwarded to the hosted cloud
-	slo     *obs.Engine   // nil until AttachSLO
-	started time.Time
+	*host
+	mu    sync.RWMutex // guards the cloud pointer, not the cloud's state
+	cloud *core.Cloud
+	reg   *obs.Registry // nil until SetObservability; forwarded to the hosted cloud
+	slo   *obs.Engine   // nil until AttachSLO
 }
 
 // NewCloudServer creates an un-initialized cloud server; the owner
@@ -169,8 +166,7 @@ type CloudServer struct {
 // attached by default so propagated traces are inspectable at
 // /debug/traces; tune or replace it via Traces / Server().SetTraceStore.
 func NewCloudServer() *CloudServer {
-	cs := &CloudServer{srv: NewServer(), started: time.Now()}
-	cs.srv.SetTraceStore(obs.NewTraceStore(0))
+	cs := &CloudServer{host: newHost()}
 	cs.srv.HandleMeta(MethodCloudInit, cs.handleInit)
 	cs.srv.HandleMeta(MethodCloudUpdate, cs.handleUpdate)
 	cs.srv.HandleMeta(MethodCloudSearch, cs.handleSearch)
@@ -182,9 +178,6 @@ func NewCloudServer() *CloudServer {
 	cs.srv.HandleMeta(MethodCloudDelete, cs.handleDeleteRange)
 	return cs
 }
-
-// Traces exposes the server's trace store (for /debug/traces and tuning).
-func (cs *CloudServer) Traces() *obs.TraceStore { return cs.srv.TraceStore() }
 
 // SetObservability attaches a metrics registry and/or structured logger:
 // the RPC layer gains per-method and connection series (server="cloud")
@@ -213,48 +206,6 @@ func (cs *CloudServer) AttachSLO(e *obs.Engine) {
 	cs.mu.Lock()
 	cs.slo = e
 	cs.mu.Unlock()
-}
-
-// EnableAudit journals every security-relevant event this server handles —
-// init, update, search — into led, attributed to the requesting tenant.
-// Appends are best-effort on the serving path: a failing audit disk degrades
-// to a counted, logged loss, never a failed search.
-func (cs *CloudServer) EnableAudit(led *audit.Ledger) {
-	cs.mu.Lock()
-	cs.aud = led
-	cs.mu.Unlock()
-}
-
-// Audit returns the attached audit ledger (nil when auditing is off).
-func (cs *CloudServer) Audit() *audit.Ledger {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return cs.aud
-}
-
-// Server exposes the underlying RPC server for transport-level tuning
-// (idle timeout, logger).
-func (cs *CloudServer) Server() *Server { return cs.srv }
-
-// Listen binds the server and returns its address.
-func (cs *CloudServer) Listen(addr string) (string, error) { return cs.srv.Listen(addr) }
-
-// Close shuts the server down, syncing and closing the journal if
-// durability is enabled.
-func (cs *CloudServer) Close() error {
-	err := cs.srv.Close()
-	if j := cs.journal(); j != nil {
-		if jerr := j.close(); err == nil {
-			err = jerr
-		}
-	}
-	return err
-}
-
-func (cs *CloudServer) journal() *journal {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return cs.jour
 }
 
 // Snapshot serializes the hosted cloud's state (nil if uninitialized), for
@@ -305,20 +256,12 @@ func (cs *CloudServer) handleInit(params json.RawMessage, _ *obs.Trace, m Meta) 
 	if err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		if err := cs.install(cloud); err != nil {
-			return nil, err
-		}
-		cs.auditEvent(audit.KindInit, m, fmt.Sprintf("index %d entries, %d primes", cloud.IndexLen(), cloud.PrimeCount()))
-		return map[string]bool{"ok": true}, nil
-	}
 	// Refuse before journaling so a doomed re-init leaves no WAL record.
 	if _, err := cs.get(); err == nil {
 		return nil, errors.New("wire: cloud already initialized")
 	}
 	rec := append([]byte{cloudRecInit}, params...)
-	if err := jour.commit(rec, func() error { return cs.install(cloud) }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().Commit(rec, func() error { return cs.install(cloud) }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindInit, m, fmt.Sprintf("index %d entries, %d primes", cloud.IndexLen(), cloud.PrimeCount()))
@@ -362,19 +305,11 @@ func (cs *CloudServer) handleUpdate(params json.RawMessage, _ *obs.Trace, m Meta
 	if err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		if err := cloud.ApplyUpdate(out); err != nil {
-			return nil, err
-		}
-		cs.auditEvent(audit.KindUpdate, m, fmt.Sprintf("+%d index entries", out.Index.Len()))
-		return map[string]bool{"ok": true}, nil
-	}
 	// Journal, then apply under the journal mutex: WAL order must equal
 	// apply order (the accumulation value is last-writer-wins), and the
 	// ack goes out only once the record is durable under the fsync policy.
 	rec := append([]byte{cloudRecUpdate}, params...)
-	if err := jour.commit(rec, func() error { return cloud.ApplyUpdate(out) }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().Commit(rec, func() error { return cloud.ApplyUpdate(out) }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindUpdate, m, fmt.Sprintf("+%d index entries", out.Index.Len()))

@@ -31,9 +31,9 @@ func TestDistributedSearchMetrics(t *testing.T) {
 	}
 	defer cloudSrv.Close()
 
-	adm, err := obs.StartAdmin("127.0.0.1:0", reg, cloudSrv.Traces(), obs.Nop())
+	adm, err := obs.StartAdminOpts("127.0.0.1:0", obs.AdminOptions{Registry: reg, Traces: cloudSrv.Traces(), Logger: obs.Nop()})
 	if err != nil {
-		t.Fatalf("StartAdmin: %v", err)
+		t.Fatalf("StartAdminOpts: %v", err)
 	}
 	defer adm.Close()
 
@@ -241,9 +241,9 @@ func TestDistributedTracePropagation(t *testing.T) {
 		t.Fatalf("cloud listen: %v", err)
 	}
 	defer cloudSrv.Close()
-	adm, err := obs.StartAdmin("127.0.0.1:0", reg, cloudSrv.Traces(), obs.Nop())
+	adm, err := obs.StartAdminOpts("127.0.0.1:0", obs.AdminOptions{Registry: reg, Traces: cloudSrv.Traces(), Logger: obs.Nop()})
 	if err != nil {
-		t.Fatalf("StartAdmin: %v", err)
+		t.Fatalf("StartAdminOpts: %v", err)
 	}
 	defer adm.Close()
 
