@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"slicer/internal/core"
+	"slicer/internal/durable"
 	"slicer/internal/wire"
 	"slicer/internal/workload"
 )
@@ -27,7 +28,7 @@ type fixture struct {
 
 // newFixture boots n shard cloud servers and a router, initializes them from
 // one owner, and builds the reference single cloud from the same state.
-func newFixture(t testing.TB, nShards, nRecords int, seed int64, opts Options) *fixture {
+func newFixture(t testing.TB, nShards, nRecords int, seed int64, dur durable.JournalOptions) *fixture {
 	t.Helper()
 	params := core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256}
 	owner, err := core.NewOwner(params)
@@ -57,10 +58,14 @@ func newFixture(t testing.TB, nShards, nRecords int, seed int64, opts Options) *
 		t.Cleanup(func() { srv.Close() })
 		specs = append(specs, ShardSpec{ID: fmt.Sprintf("s%d", i+1), Addr: addr})
 	}
-	opts.Shards = specs
-	router, err := NewRouter(opts)
+	router, err := NewRouter(Options{Shards: specs})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
+	}
+	if dur.Dir != "" {
+		if _, err := router.EnableDurability(dur); err != nil {
+			t.Fatalf("EnableDurability: %v", err)
+		}
 	}
 	addr, err := router.Listen("127.0.0.1:0")
 	if err != nil {
@@ -133,7 +138,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFixture(t, n, 50, int64(100+n), Options{})
+			f := newFixture(t, n, 50, int64(100+n), durable.JournalOptions{})
 			rng := rand.New(rand.NewSource(int64(n)))
 			queries := []core.Query{
 				core.Less(1),
@@ -156,7 +161,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // TestRoutedUpdateEquivalence inserts through the router and re-checks
 // equivalence: the delta must split by address while the ADS replicates.
 func TestRoutedUpdateEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 40, 9, Options{})
+	f := newFixture(t, 3, 40, 9, durable.JournalOptions{})
 	for i := 0; i < 3; i++ {
 		up, err := f.owner.Insert([]core.Record{core.NewRecord(uint64(5000+i), uint64(40+i))})
 		if err != nil {
@@ -179,7 +184,7 @@ func TestRoutedUpdateEquivalence(t *testing.T) {
 // re-checks byte-identical search before, during is covered by the race
 // test, and after the move.
 func TestRebalanceEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 60, 17, Options{})
+	f := newFixture(t, 3, 60, 17, durable.JournalOptions{})
 	f.checkQuery(t, core.Less(200))
 	table := f.router.Table()
 	src := table.Shards()[0]
@@ -207,7 +212,7 @@ func TestRebalanceEquivalence(t *testing.T) {
 // while ranges move between shards; zero searches may fail and every
 // response must verify. Run with -race.
 func TestSearchDuringRebalance(t *testing.T) {
-	f := newFixture(t, 3, 60, 23, Options{})
+	f := newFixture(t, 3, 60, 23, durable.JournalOptions{})
 	req, err := f.user.Token(core.Less(200))
 	if err != nil {
 		t.Fatalf("Token: %v", err)
@@ -287,7 +292,7 @@ func FuzzScatterGatherEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shardSel, nRec uint8, seed int64, val, op uint8) {
 		nShards := shardCounts[int(shardSel)%len(shardCounts)]
 		n := 5 + int(nRec)%40
-		fx := newFixture(t, nShards, n, seed, Options{})
+		fx := newFixture(t, nShards, n, seed, durable.JournalOptions{})
 		var q core.Query
 		switch op % 3 {
 		case 0:

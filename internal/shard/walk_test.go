@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"slicer/internal/core"
+	"slicer/internal/durable"
 	"slicer/internal/store"
 	"slicer/internal/wire"
 	"slicer/internal/workload"
@@ -18,7 +19,7 @@ import (
 // order slices — so the walk needs several mget rounds per epoch and must
 // still match the single cloud byte for byte.
 func TestRoutedSearchDrainsWideEpochs(t *testing.T) {
-	f := newFixture(t, 3, 60, 41, Options{})
+	f := newFixture(t, 3, 60, 41, durable.JournalOptions{})
 	v := f.db[0].Attrs[0].Value
 	var recs []core.Record
 	for i := 0; i < DefaultBatch+5; i++ {

@@ -11,7 +11,7 @@ import (
 )
 
 // durableCloud spins up a cloud server persisting into fsys/dir.
-func durableCloud(t *testing.T, fsys durable.FS, dir string, opts DurabilityOptions) (*CloudServer, *CloudClient, *RecoveryStats) {
+func durableCloud(t *testing.T, fsys durable.FS, dir string, opts durable.JournalOptions) (*CloudServer, *CloudClient, *durable.RecoveryStats) {
 	t.Helper()
 	opts.FS = fsys
 	opts.Dir = dir
@@ -44,7 +44,7 @@ func TestCloudServerDurableRestart(t *testing.T) {
 	}
 
 	fsys := durable.NewMemFS()
-	srv1, cli1, stats := durableCloud(t, fsys, "cloud", DurabilityOptions{Fsync: durable.FsyncNever})
+	srv1, cli1, stats := durableCloud(t, fsys, "cloud", durable.JournalOptions{Fsync: durable.FsyncNever})
 	if !(stats.Replayed == 0 && stats.SnapshotIndex == 0) {
 		t.Fatalf("fresh dir recovered %+v", stats)
 	}
@@ -66,7 +66,7 @@ func TestCloudServerDurableRestart(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	srv2, cli2, stats := durableCloud(t, fsys, "cloud", DurabilityOptions{})
+	srv2, cli2, stats := durableCloud(t, fsys, "cloud", durable.JournalOptions{})
 	defer srv2.Close()
 	defer cli2.Close()
 	if stats.Replayed != 4 || stats.Skipped != 0 { // init + 3 updates
@@ -104,7 +104,7 @@ func TestCloudServerSnapshotTriggerCompactsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsys := durable.NewMemFS()
-	srv1, cli1, _ := durableCloud(t, fsys, "cloud", DurabilityOptions{SnapshotEvery: 2})
+	srv1, cli1, _ := durableCloud(t, fsys, "cloud", durable.JournalOptions{SnapshotEvery: 2})
 	if err := cli1.Init(owner.CloudInit(built.Index), true); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCloudServerSnapshotTriggerCompactsWAL(t *testing.T) {
 
 	// 6 records with a snapshot every 2: recovery must come from a
 	// snapshot, with only the journaled tail replayed.
-	srv2, cli2, stats := durableCloud(t, fsys, "cloud", DurabilityOptions{})
+	srv2, cli2, stats := durableCloud(t, fsys, "cloud", durable.JournalOptions{})
 	defer srv2.Close()
 	defer cli2.Close()
 	if stats.SnapshotIndex == 0 {
@@ -189,7 +189,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	chainFS := durable.NewMemFS()
 	chainSrv := NewChainServer(network)
-	if _, err := chainSrv.EnableDurability(DurabilityOptions{FS: chainFS, Dir: "chain"}); err != nil {
+	if _, err := chainSrv.EnableDurability(durable.JournalOptions{FS: chainFS, Dir: "chain"}); err != nil {
 		t.Fatal(err)
 	}
 	chainAddr, err := chainSrv.Listen("127.0.0.1:0")
@@ -209,7 +209,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	// Durable cloud, fsync on every record: an acknowledged update
 	// survives kill -9.
 	cloudFS := durable.NewMemFS()
-	srv1, cli1, _ := durableCloud(t, cloudFS, "cloud", DurabilityOptions{Fsync: durable.FsyncAlways})
+	srv1, cli1, _ := durableCloud(t, cloudFS, "cloud", durable.JournalOptions{Fsync: durable.FsyncAlways})
 	if err := cli1.Init(owner.CloudInit(built.Index), true); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	chainSrv2 := NewChainServer(network2)
-	chStats, err := chainSrv2.EnableDurability(DurabilityOptions{FS: chainFS, Dir: "chain"})
+	chStats, err := chainSrv2.EnableDurability(durable.JournalOptions{FS: chainFS, Dir: "chain"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Restart the cloud from its data directory. The torn record must be
 	// truncated and everything acknowledged must be back.
-	srv2, cli2, stats := durableCloud(t, cloudFS, "cloud", DurabilityOptions{Fsync: durable.FsyncAlways})
+	srv2, cli2, stats := durableCloud(t, cloudFS, "cloud", durable.JournalOptions{Fsync: durable.FsyncAlways})
 	defer srv2.Close()
 	defer cli2.Close()
 	if stats.Truncated == 0 {
@@ -405,13 +405,13 @@ func TestChainServerDurableRestart(t *testing.T) {
 	alloc := map[chain.Address]uint64{alice: 10_000}
 	fsys := durable.NewMemFS()
 
-	boot := func() (*ChainServer, *ChainClient, *RecoveryStats) {
+	boot := func() (*ChainServer, *ChainClient, *durable.RecoveryStats) {
 		network, err := chain.NewNetwork(registry, vals, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := NewChainServer(network)
-		stats, err := srv.EnableDurability(DurabilityOptions{FS: fsys, Dir: "chain", SnapshotEvery: 2})
+		stats, err := srv.EnableDurability(durable.JournalOptions{FS: fsys, Dir: "chain", SnapshotEvery: 2})
 		if err != nil {
 			t.Fatalf("EnableDurability: %v", err)
 		}
